@@ -10,14 +10,14 @@
 // failover harnesses scale.
 //
 // Reported per client count:
-//   * ops/sec of host CPU (completed RPCs / process CPU seconds)
+//   * ops/sec of host CPU (RPCs answered OK / process CPU seconds)
 //   * CPU microseconds per op
 //   * payload bytes memcpy'd per op (Buffer copy counter; the zero-copy
 //     refactor's target metric)
 //   * peak RSS (MiB)
 //
-// Writes BENCH_scale.json with these numbers next to the pre-PR-9 baseline
-// (measured at commit f6c2ea4, the copy-per-hop scheduler-scan code),
+// Writes BENCH_scale.json with these numbers next to the baseline measured
+// at commit f6c2ea4 (the copy-per-hop scheduler-scan code),
 // so the >=3x ops/sec and >=50% copy-reduction acceptance gates are
 // checked against recorded history, not against vibes.
 
@@ -96,6 +96,7 @@ Row Measure(size_t n_clients, int ops_per_client) {
   const std::string small(256, 'q');
   const std::string big(2048, 'Q');
   uint64_t issued = 0;
+  uint64_t completed = 0;  // answered OK; server arrivals would count resends
 
   auto& attr = obs::CpuAttribution::Instance();
   attr.CyclesPerSecond();  // calibrate outside the measured window
@@ -108,9 +109,14 @@ Row Measure(size_t n_clients, int ops_per_client) {
     // Stagger issue times so the server sees a sustained fan-in, not one
     // synchronized tick.
     const Duration start = Duration::Micros(static_cast<int64_t>((i * 997) % 1000000));
-    bed.loop()->ScheduleAfter(start, [c, ops_per_client, &small, &big, &issued] {
+    bed.loop()->ScheduleAfter(start, [c, ops_per_client, &small, &big, &issued, &completed] {
       for (int k = 0; k < ops_per_client; ++k) {
-        c->qrpc()->Call("server", "echo", {(k % 8 == 7) ? big : small});
+        c->qrpc()->Call("server", "echo", {(k % 8 == 7) ? big : small})
+            .result.OnReady([&completed](const QrpcResult& r) {
+              if (r.status.ok()) {
+                ++completed;
+              }
+            });
         ++issued;
       }
     });
@@ -127,7 +133,6 @@ Row Measure(size_t n_clients, int ops_per_client) {
     row.zone_enters[z] = t.enters;
   }
 
-  const uint64_t completed = bed.server()->qrpc()->stats().requests;
   row.ops = completed;
   row.cpu_seconds = cpu_after - cpu_before;
   row.ops_per_cpu_sec = static_cast<double>(completed) / row.cpu_seconds;
@@ -143,10 +148,10 @@ Row Measure(size_t n_clients, int ops_per_client) {
   return row;
 }
 
-// Pre-PR-9 baseline, measured at commit f6c2ea4 on this container with the
-// same workload (vector<uint8_t> payload copies at every hop; std::map
-// scheduler with O(all-dests) depth scans). Keep in sync with
-// BENCH_scale.json's "baseline_pre" section.
+// Baseline measured at commit f6c2ea4 with the same workload
+// (vector<uint8_t> payload copies at every hop; std::map scheduler with
+// O(all-dests) depth scans). Keep in sync with BENCH_scale.json's
+// "baseline_pre" section.
 const Row kBaseline[] = {
     // clients, ops, cpu_s, ops/cpu_s, us/op, copy_bytes/op, rss_mib
     {1000, 8000, 0.391, 20447, 48.91, 7921, 52.4},
@@ -237,7 +242,7 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_scale.json\n");
   }
 
-  // Acceptance gates vs the recorded pre-PR-9 baseline: >=3x ops/cpu-sec at
+  // Acceptance gates vs the recorded f6c2ea4 baseline: >=3x ops/cpu-sec at
   // 4k clients and >=50% fewer payload bytes copied per op. Informational
   // here; CI applies a non-blocking floor on top.
   for (const Row& r : rows) {

@@ -1050,34 +1050,31 @@ bool QrpcServer::CorruptCachedResponseForTest(const std::string& client, uint64_
   return true;
 }
 
-std::vector<QrpcServer::CachedResponse> QrpcServer::CachedResponses() const {
-  std::vector<CachedResponse> out;
+std::vector<CachedResponseEntry> QrpcServer::CachedResponses() const {
+  std::vector<CachedResponseEntry> out;
   out.reserve(done_order_.size());
   // Walk in eviction order so a restore preserves the cache's age ranking.
-  for (const auto& key : done_order_) {
-    auto it = done_.find(key);
-    if (it != done_.end()) {
-      out.push_back(CachedResponse{key.first, key.second, it->second});
-    }
+  for (const DoneMap::iterator& it : done_order_) {
+    out.push_back(CachedResponseEntry{it->first.first, it->first.second, it->second});
   }
   return out;
 }
 
 void QrpcServer::EvictDupCacheOverflow() {
   while (done_order_.size() > options_.duplicate_cache_max) {
-    const auto victim = done_order_.front();
-    done_.erase(victim);
+    const auto victim = done_.extract(done_order_.front());
     done_order_.pop_front();
     if (check_ != nullptr) {
-      check_->OnServerDupCacheEvict(self(), victim.first, victim.second);
+      check_->OnServerDupCacheEvict(self(), victim.key().first, victim.key().second);
     }
   }
 }
 
 void QrpcServer::RestoreCachedResponse(std::string client, uint64_t rpc_id, Buffer response) {
-  const auto key = std::make_pair(std::move(client), rpc_id);
-  if (done_.emplace(key, std::move(response)).second) {
-    done_order_.push_back(key);
+  auto [it, inserted] =
+      done_.try_emplace(ClientRpcKey(std::move(client), rpc_id), std::move(response));
+  if (inserted) {
+    done_order_.push_back(it);
     EvictDupCacheOverflow();
   }
 }
@@ -1247,9 +1244,11 @@ void QrpcServer::HandleRequest(const Message& msg) {
     // Cached/journaled without an epoch stamp. One allocation: the cache
     // entry and the journal's copy share it by refcount.
     Buffer encoded(body.Encode());
-    done_[key] = encoded;
-    done_order_.push_back(key);
-    EvictDupCacheOverflow();
+    auto [cached, inserted] = done_.insert_or_assign(key, encoded);
+    if (inserted) {
+      done_order_.push_back(cached);
+      EvictDupCacheOverflow();
+    }
     if (response_journal_) {
       // Write-ahead: the response leaves only after the journal reports the
       // entry durable. A crash in between means the client never saw an

@@ -386,6 +386,15 @@ class QrpcClient {
   obs::Histogram* h_rpc_seconds_ = nullptr;  // Call() -> response matched
 };
 
+// One duplicate-response cache entry, as compaction snapshots, recovery
+// restores, and replication resync ships it.
+struct CachedResponseEntry {
+  std::string client;
+  uint64_t rpc_id = 0;
+  // Shares storage with the dup-cache entry / WAL record it came from.
+  Buffer response;
+};
+
 struct QrpcServerOptions {
   size_t duplicate_cache_max = 4096;
   // When non-empty, requests must carry one of these tokens in their
@@ -451,12 +460,8 @@ class QrpcServer {
 
   // Duplicate-cache persistence: snapshot for compaction, restore on
   // recovery (restored entries re-enter the bounded eviction order).
-  struct CachedResponse {
-    std::string client;
-    uint64_t rpc_id = 0;
-    Buffer response;  // shares storage with the cache entry
-  };
-  std::vector<CachedResponse> CachedResponses() const;
+  // Entries come oldest first and share their buffers with the cache.
+  std::vector<CachedResponseEntry> CachedResponses() const;
   void RestoreCachedResponse(std::string client, uint64_t rpc_id, Buffer response);
 
   // Identity of the request whose handler is executing right now, or
@@ -543,8 +548,11 @@ class QrpcServer {
   // (client host, rpc id) -> cached response for at-most-once execution.
   // Buffer values: caching, journaling, replication shipping, and the
   // replay send all share one allocation of the encoded response.
-  std::map<ClientRpcKey, Buffer, ClientRpcKeyLess> done_;
-  std::deque<ClientRpcKey> done_order_;
+  using DoneMap = std::map<ClientRpcKey, Buffer, ClientRpcKeyLess>;
+  DoneMap done_;
+  // Eviction order, oldest first. Map iterators stay valid until their own
+  // entry is erased, so walking or evicting needs no second lookup.
+  std::deque<DoneMap::iterator> done_order_;
   std::set<ClientRpcKey, ClientRpcKeyLess> in_progress_;
   // Keys in done_ whose response-journal write has not yet been reported
   // durable. A duplicate request for such a key is dropped, not replayed:

@@ -27,6 +27,16 @@ Bytes RdoDescriptor::Encode() const {
   return writer.TakeData();
 }
 
+size_t RdoDescriptor::EncodedSize() const {
+  size_t total = LengthPrefixedSize(name.size()) + VarintSize(version) +
+                 LengthPrefixedSize(type.size()) + LengthPrefixedSize(code.size()) +
+                 LengthPrefixedSize(data.size()) + VarintSize(metadata.size());
+  for (const auto& [k, v] : metadata) {
+    total += LengthPrefixedSize(k.size()) + LengthPrefixedSize(v.size());
+  }
+  return total;
+}
+
 Result<RdoDescriptor> RdoDescriptor::Decode(const Bytes& bytes) {
   WireReader reader(bytes);
   RdoDescriptor d;

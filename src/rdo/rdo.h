@@ -37,6 +37,7 @@ struct RdoDescriptor {
   size_t ByteSize() const;  // approximate in-memory/cache footprint
 
   Bytes Encode() const;
+  size_t EncodedSize() const;  // == Encode().size(), without encoding
   static Result<RdoDescriptor> Decode(const Bytes& bytes);
 };
 

@@ -5,6 +5,10 @@
 // Each object keeps its committed descriptor, a bounded version history
 // (so resolvers can see the ancestor a client diverged from), and a type
 // tag selecting its conflict resolver.
+//
+// Committed versions are immutable and reference-counted: a snapshot image
+// shares them with the live store, so taking one costs a pointer copy per
+// object and history slot, and later commits never disturb it.
 
 #ifndef ROVER_SRC_STORE_OBJECT_STORE_H_
 #define ROVER_SRC_STORE_OBJECT_STORE_H_
@@ -12,7 +16,9 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/rdo/rdo.h"
@@ -33,6 +39,25 @@ struct ExportOutcome {
   uint64_t new_version = 0;
   bool was_conflict = false;   // resolver ran
   RdoDescriptor committed;     // the now-committed descriptor
+};
+
+// One committed version, never modified after it is built.
+struct StoredVersion {
+  explicit StoredVersion(RdoDescriptor d)
+      : descriptor(std::move(d)), encoded_size(descriptor.EncodedSize()) {}
+  RdoDescriptor descriptor;
+  size_t encoded_size;  // descriptor.Encode().size()
+};
+using VersionRef = std::shared_ptr<const StoredVersion>;
+
+// Point-in-time image of an ObjectStore that shares its versions: what
+// compaction snapshots and recovery adopts.
+struct ObjectImage {
+  struct Object {
+    VersionRef committed;
+    std::vector<VersionRef> history;  // oldest first
+  };
+  std::vector<Object> objects;  // name order
 };
 
 class ObjectStore {
@@ -74,9 +99,17 @@ class ObjectStore {
   const ObjectStoreStats& stats() const { return stats_; }
 
   // Persistence: the paper's home servers keep objects on stable storage.
-  // Serialize captures every object's committed descriptor and history;
-  // Load rebuilds the store (e.g. after a simulated server restart).
-  Bytes Serialize() const;
+  // Snapshot captures every object's committed version and history without
+  // encoding anything; Adopt replaces the store's contents with an image
+  // (e.g. after a simulated server restart), sharing its versions.
+  ObjectImage Snapshot() const;
+  void Adopt(const ObjectImage& image);
+
+  // Wire form of an image (replication resync). ImageByteSize is exactly
+  // EncodeImage(image).size(), computed from the lengths fixed at commit.
+  static Bytes EncodeImage(const ObjectImage& image);
+  static size_t ImageByteSize(const ObjectImage& image);
+  Bytes Serialize() const { return EncodeImage(Snapshot()); }
   Status Load(const Bytes& snapshot);
 
   // Journal hooks, fired after every committed mutation (Create/Put/
@@ -97,8 +130,8 @@ class ObjectStore {
 
  private:
   struct Entry {
-    RdoDescriptor committed;
-    std::deque<RdoDescriptor> history;  // older versions, oldest first
+    VersionRef committed;
+    std::deque<VersionRef> history;  // older versions, oldest first
   };
 
   void PushHistory(Entry* entry);

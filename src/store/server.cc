@@ -191,11 +191,7 @@ void RoverServer::TryReclaimWalSpace() {
     return;
   }
   ++stats_.wal_compactions_forced;
-  std::vector<CachedResponseEntry> responses;
-  for (auto& cached : qrpc_->CachedResponses()) {
-    responses.push_back({cached.client, cached.rpc_id, std::move(cached.response)});
-  }
-  stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses), [this, weak] {
+  WriteSnapshot([this, weak] {
     if (weak.expired()) {
       return;
     }
@@ -265,11 +261,7 @@ size_t RoverServer::ScrubStableStore() {
   // regular compaction closes the hole instead.
   if (pending_ops_.empty() && !stable_store_->CompactionInProgress()) {
     ++stats_.wal_compactions_forced;
-    std::vector<CachedResponseEntry> responses;
-    for (auto& cached : qrpc_->CachedResponses()) {
-      responses.push_back({cached.client, cached.rpc_id, std::move(cached.response)});
-    }
-    stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses));
+    WriteSnapshot(nullptr);
   }
   return report.quarantined.size();
 }
@@ -338,8 +330,9 @@ void RoverServer::AdoptReplicatedSnapshot(Bytes object_image,
     }
   }
   replaying_ = false;
-  for (const CachedResponseEntry& entry : responses) {
-    qrpc_->RestoreCachedResponse(entry.client, entry.rpc_id, entry.response);
+  for (CachedResponseEntry& entry : responses) {
+    qrpc_->RestoreCachedResponse(std::move(entry.client), entry.rpc_id,
+                                 std::move(entry.response));
   }
   instances_.clear();
   if (stable_store_ == nullptr) {
@@ -348,7 +341,7 @@ void RoverServer::AdoptReplicatedSnapshot(Bytes object_image,
     }
     return;
   }
-  stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses), std::move(done));
+  WriteSnapshot(std::move(done));
 }
 
 void RoverServer::MaybeCompact() {
@@ -366,22 +359,17 @@ void RoverServer::MaybeCompact() {
   if (!pending_ops_.empty()) {
     return;
   }
-  std::vector<CachedResponseEntry> responses;
-  for (auto& cached : qrpc_->CachedResponses()) {
-    responses.push_back({cached.client, cached.rpc_id, std::move(cached.response)});
-  }
-  stable_store_->WriteSnapshot(store_.Serialize(), std::move(responses));
+  WriteSnapshot(nullptr);
+}
+
+void RoverServer::WriteSnapshot(std::function<void()> done) {
+  stable_store_->WriteSnapshot(store_.Snapshot(), qrpc_->CachedResponses(), std::move(done));
 }
 
 void RoverServer::RestoreFromRecovery(const RecoveredServerState& recovered) {
   replaying_ = true;
   std::vector<std::pair<std::string, uint64_t>> survived;
-  if (!recovered.object_image.empty()) {
-    Status loaded = store_.Load(recovered.object_image);
-    if (!loaded.ok()) {
-      ROVER_LOG(Warning) << "server snapshot load failed: " << loaded.message();
-    }
-  }
+  store_.Adopt(recovered.object_image);
   for (const CachedResponseEntry& entry : recovered.snapshot_responses) {
     qrpc_->RestoreCachedResponse(entry.client, entry.rpc_id, entry.response);
     survived.emplace_back(entry.client, entry.rpc_id);

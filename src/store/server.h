@@ -92,9 +92,10 @@ class RoverServer {
   // Convenience for tests/benches/examples: create an object directly.
   Status CreateObject(const RdoDescriptor& descriptor);
 
-  // Rebuilds the server image from recovered stable state: snapshot load,
-  // WAL replay (mutations + duplicate-cache entries), epoch installation.
-  // Subscriptions and live RDO instances are volatile and start empty.
+  // Rebuilds the server image from recovered stable state: snapshot
+  // adoption (no decode), WAL replay (mutations + duplicate-cache entries),
+  // epoch installation. Subscriptions and live RDO instances are volatile
+  // and start empty.
   void RestoreFromRecovery(const RecoveredServerState& recovered);
 
   // Reports recovery outcomes (the survived duplicate-response keys) to an
@@ -152,6 +153,9 @@ class RoverServer {
   void WireDurability();
   void RecordOp(ReplayOp op);
   void MaybeCompact();
+  // Snapshots the object store and duplicate cache into the stable store
+  // (sharing, not encoding, their contents); `done` runs once it is durable.
+  void WriteSnapshot(std::function<void()> done);
   // Journal ENOSPC path: queue the blocked response release, put the QRPC
   // server into storage-degraded refusal, and drive compaction until the
   // re-flush succeeds (or the retry budget runs out).

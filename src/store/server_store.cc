@@ -81,18 +81,14 @@ void ServerStableStore::Flush(StableLog::FlushCallback done) {
   wal_.Flush(std::move(done));
 }
 
-void ServerStableStore::Flush(std::function<void()> done) {
-  wal_.Flush(std::move(done));
-}
-
-void ServerStableStore::WriteSnapshot(Bytes object_image,
+void ServerStableStore::WriteSnapshot(ObjectImage object_image,
                                       std::vector<CachedResponseEntry> responses,
                                       std::function<void()> done) {
   compaction_in_progress_ = true;
   // The snapshot covers the WAL as of now; records appended while the
   // snapshot write runs survive the truncation.
   const uint64_t covered_up_to = wal_.BackRecordId();
-  size_t bytes = object_image.size();
+  size_t bytes = ObjectStore::ImageByteSize(object_image);
   for (const CachedResponseEntry& entry : responses) {
     bytes += entry.client.size() + entry.response.size() + 16;
   }

@@ -22,9 +22,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/qrpc/qrpc.h"
 #include "src/qrpc/stable_log.h"
 #include "src/rdo/rdo.h"
 #include "src/sim/event_loop.h"
+#include "src/store/object_store.h"
 #include "src/util/buffer.h"
 #include "src/util/bytes.h"
 
@@ -63,13 +65,6 @@ struct ReplayOp {
   std::string name;         // valid when is_remove
 };
 
-struct CachedResponseEntry {
-  std::string client;
-  uint64_t rpc_id = 0;
-  // Shares storage with the dup-cache entry / WAL record it came from.
-  Buffer response;
-};
-
 // The unit of server durability: everything one RPC changed, journaled
 // atomically. Standalone (non-RPC) mutations use has_response = false.
 struct ServerTransaction {
@@ -87,7 +82,7 @@ struct ServerTransaction {
 // Everything Recover() salvages from stable storage.
 struct RecoveredServerState {
   uint64_t epoch = 1;
-  Bytes object_image;  // ObjectStore::Serialize blob; empty = no snapshot
+  ObjectImage object_image;  // no objects when no snapshot was written
   std::vector<CachedResponseEntry> snapshot_responses;
   std::vector<ServerTransaction> wal;  // oldest first
   size_t records_dropped = 0;
@@ -109,19 +104,18 @@ class ServerStableStore {
   // transaction is NOT durable and its response must not leave). Response
   // sends gate on this.
   void Flush(StableLog::FlushCallback done);
-  // Legacy form for callers that do not inspect the outcome.
-  void Flush(std::function<void()> done);
-  void Flush(std::nullptr_t) { Flush(StableLog::FlushCallback{}); }
 
   bool NeedsCompaction() const {
     return !compaction_in_progress_ && wal_.RecordCount() >= options_.compact_after_records;
   }
 
   // Writes a snapshot of the full server image (object store + duplicate
-  // cache) and truncates the WAL records it covers. The swap is atomic at
-  // write completion: a crash mid-snapshot keeps the previous snapshot and
-  // the untruncated WAL.
-  void WriteSnapshot(Bytes object_image, std::vector<CachedResponseEntry> responses,
+  // cache) and truncates the WAL records it covers. The image shares its
+  // versions and response buffers with the live server, so this copies no
+  // payload; the device is still charged for the image's serialized size.
+  // The swap is atomic at write completion: a crash mid-snapshot keeps the
+  // previous snapshot and the untruncated WAL.
+  void WriteSnapshot(ObjectImage object_image, std::vector<CachedResponseEntry> responses,
                      std::function<void()> done = nullptr);
 
   // Crash: volatile WAL tail vanishes; with `tear_last_record`, the record
@@ -161,7 +155,7 @@ class ServerStableStore {
  private:
   struct Snapshot {
     bool valid = false;
-    Bytes object_image;
+    ObjectImage object_image;
     std::vector<CachedResponseEntry> responses;
   };
 

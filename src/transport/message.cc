@@ -6,15 +6,6 @@
 namespace rover {
 namespace {
 
-size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
 void EncodeHeaderTo(const MessageHeader& header, WireWriter* writer) {
   writer->WriteVarint(header.message_id);
   writer->WriteVarint(static_cast<uint64_t>(header.type));
@@ -28,7 +19,7 @@ void EncodeHeaderTo(const MessageHeader& header, WireWriter* writer) {
 }
 
 size_t EncodedHeaderSize(const MessageHeader& h) {
-  auto str = [](const std::string& s) { return VarintSize(s.size()) + s.size(); };
+  auto str = [](const std::string& s) { return LengthPrefixedSize(s.size()); };
   return VarintSize(h.message_id) + VarintSize(static_cast<uint64_t>(h.type)) +
          VarintSize(static_cast<uint64_t>(h.priority)) + str(h.src) + str(h.dst) +
          VarintSize(h.in_reply_to) + 1 /* compressed bool */ + str(h.auth) +

@@ -32,6 +32,20 @@ inline std::string StringFromBytes(const Bytes& b) {
   return std::string(b.begin(), b.end());
 }
 
+// Encoded length of `v` as a LEB128 varint (what WireWriter::WriteVarint
+// appends).
+inline size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+// Encoded length of a varint-length-prefixed string or byte run of `n` bytes.
+inline size_t LengthPrefixedSize(size_t n) { return VarintSize(n) + n; }
+
 class WireWriter {
  public:
   WireWriter() = default;

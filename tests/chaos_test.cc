@@ -63,6 +63,24 @@ ServerTransaction MakeTxn(const std::string& name, const std::string& data,
   return txn;
 }
 
+// Rebuilds an object store the way server recovery does: adopt the snapshot
+// image, then replay the surviving WAL transactions in order.
+ObjectStore Replay(const ObjectImage& image, const std::vector<ServerTransaction>& wal,
+                   size_t history_limit) {
+  ObjectStore store(history_limit);
+  store.Adopt(image);
+  for (const ServerTransaction& txn : wal) {
+    for (const ReplayOp& op : txn.ops) {
+      if (op.is_remove) {
+        (void)store.Remove(op.name);
+      } else {
+        store.RestoreCommit(op.committed);
+      }
+    }
+  }
+  return store;
+}
+
 // --- Part 1: ServerStableStore -------------------------------------------
 
 TEST(ServerStoreTest, TransactionRoundTrip) {
@@ -149,18 +167,22 @@ TEST(ServerStoreTest, TearWithoutInFlightWriteCannotCorruptDurableRecords) {
 TEST(ServerStoreTest, SnapshotCompactionTruncatesWalAndSurvivesRecovery) {
   EventLoop loop;
   ServerStableStore store(&loop);
+  ObjectStore objects;
   for (int i = 0; i < 3; ++i) {
-    store.LogTransaction(MakeTxn("obj" + std::to_string(i), "x", 1));
+    const std::string name = "obj" + std::to_string(i);
+    ASSERT_TRUE(objects.Create(MakeRdo(name, "lww", kCounterCode, "x")).ok());
+    store.LogTransaction(MakeTxn(name, "x", 1));
   }
+  ASSERT_TRUE(objects.Put(MakeRdo("obj0", "lww", kCounterCode, "y")).ok());
   store.Flush(nullptr);
   loop.Run();
 
-  const Bytes image = BytesFromString("object-image");
+  const Bytes image = objects.Serialize();
   CachedResponseEntry entry;
   entry.client = "mobile";
   entry.rpc_id = 7;
   entry.response = BytesFromString("r");
-  store.WriteSnapshot(image, {entry});
+  store.WriteSnapshot(objects.Snapshot(), {entry});
   loop.Run();
   EXPECT_EQ(store.WalRecordCount(), 0u);
   EXPECT_EQ(store.stats().snapshots_written, 1u);
@@ -171,7 +193,7 @@ TEST(ServerStoreTest, SnapshotCompactionTruncatesWalAndSurvivesRecovery) {
 
   store.SimulateCrash(false);
   RecoveredServerState rec = store.Recover();
-  EXPECT_EQ(rec.object_image, image);
+  EXPECT_EQ(ObjectStore::EncodeImage(rec.object_image), image);
   ASSERT_EQ(rec.snapshot_responses.size(), 1u);
   EXPECT_EQ(rec.snapshot_responses[0].rpc_id, 7u);
   ASSERT_EQ(rec.wal.size(), 1u);
@@ -188,15 +210,96 @@ TEST(ServerStoreTest, CrashMidSnapshotKeepsPreviousImageAndWal) {
   store.Flush(nullptr);
   loop.Run();
 
-  store.WriteSnapshot(BytesFromString("half-written"), {});
+  ObjectStore objects;
+  ASSERT_TRUE(objects.Create(MakeRdo("a", "lww", kCounterCode, "1")).ok());
+  store.WriteSnapshot(objects.Snapshot(), {});
   loop.RunUntil(loop.now() + Duration::Millis(5));  // write still in flight
   store.SimulateCrash(false);
   loop.Run();  // the stale completion event must abandon its swap
   EXPECT_EQ(store.stats().snapshots_written, 0u);
 
   RecoveredServerState rec = store.Recover();
-  EXPECT_TRUE(rec.object_image.empty());
+  EXPECT_TRUE(rec.object_image.objects.empty());
   EXPECT_EQ(rec.wal.size(), 2u);
+}
+
+// A snapshot shares its versions and response buffers with the live server,
+// so nothing the server does after WriteSnapshot may reach into it. A crash
+// before the snapshot write completes recovers the previous (empty) image
+// plus the whole WAL; a crash after it recovers exactly what Serialize()
+// returned at snapshot time, plus the WAL written since. Either way, replay
+// lands on the live state.
+TEST(ServerStoreTest, SnapshotIsIsolatedFromLaterMutations) {
+  constexpr size_t kHistory = 2;
+  for (const bool snapshot_completes : {false, true}) {
+    SCOPED_TRACE(snapshot_completes ? "crash after snapshot" : "crash mid-snapshot");
+    Testbed bed;  // for a real duplicate-response cache
+    QrpcServer* dup_cache = bed.server()->qrpc();
+    EventLoop* loop = bed.loop();
+    ServerStoreOptions opts;
+    opts.wal_costs = {Duration::Millis(20), 2e6, /*group_commit=*/true};
+    ServerStableStore stable(loop, opts);
+    ObjectStore live(kHistory);
+    live.SetJournalHooks(
+        [&](const RdoDescriptor& committed) {
+          ServerTransaction txn;
+          txn.ops.push_back(ReplayOp{false, committed, ""});
+          stable.LogTransaction(txn);
+        },
+        [&](const std::string& name) {
+          ServerTransaction txn;
+          txn.ops.push_back(ReplayOp{true, RdoDescriptor{}, name});
+          stable.LogTransaction(txn);
+        });
+    auto edit = [&](const std::string& name, const std::string& data) {
+      ASSERT_TRUE(live.Put(MakeRdo(name, "lww", kCounterCode, data)).ok());
+    };
+    // "big" makes the snapshot write (~70 ms) outlast a WAL flush (~20 ms).
+    edit("big", std::string(100 * 1024, 'b'));
+    for (const char* name : {"a", "b", "c"}) {
+      edit(name, "1");
+    }
+    edit("a", "2");
+    edit("a", "3");  // "a" now holds a full history
+    dup_cache->RestoreCachedResponse("mobile", 1, BytesFromString("r1"));
+    dup_cache->RestoreCachedResponse("mobile", 2, BytesFromString("r2"));
+    stable.Flush(nullptr);
+    loop->RunUntil(loop->now() + Duration::Seconds(1));
+
+    const Bytes image_at_snapshot = live.Serialize();
+    stable.WriteSnapshot(live.Snapshot(), dup_cache->CachedResponses());
+    // After the snapshot began: a new version, a history overflow, a
+    // removal, a creation, a damaged and a new duplicate-cache entry.
+    edit("b", "2");
+    edit("a", "4");
+    ASSERT_TRUE(live.Remove("c").ok());
+    edit("d", "1");
+    ASSERT_TRUE(dup_cache->CorruptCachedResponseForTest("mobile", 1));
+    dup_cache->RestoreCachedResponse("mobile", 3, BytesFromString("r3"));
+    stable.Flush(nullptr);
+    loop->RunUntil(loop->now() + (snapshot_completes ? Duration::Seconds(1)
+                                                     : Duration::Millis(40)));
+    ASSERT_EQ(stable.stats().snapshots_written, snapshot_completes ? 1u : 0u);
+    stable.SimulateCrash(false);
+    loop->RunUntil(loop->now() + Duration::Seconds(1));  // stale completion must not land
+
+    RecoveredServerState rec = stable.Recover();
+    if (snapshot_completes) {
+      EXPECT_EQ(ObjectStore::EncodeImage(rec.object_image), image_at_snapshot);
+      ASSERT_EQ(rec.snapshot_responses.size(), 2u);
+      EXPECT_EQ(rec.snapshot_responses[0].response, BytesFromString("r1"));
+      EXPECT_EQ(rec.snapshot_responses[1].response, BytesFromString("r2"));
+      EXPECT_EQ(rec.wal.size(), 4u);  // only what was logged after the snapshot
+      ObjectStore expected(kHistory);
+      ASSERT_TRUE(expected.Load(image_at_snapshot).ok());
+      EXPECT_EQ(Replay(expected.Snapshot(), rec.wal, kHistory).Serialize(), live.Serialize());
+    } else {
+      EXPECT_TRUE(rec.object_image.objects.empty());
+      EXPECT_TRUE(rec.snapshot_responses.empty());
+      EXPECT_EQ(rec.wal.size(), 10u);
+    }
+    EXPECT_EQ(Replay(rec.object_image, rec.wal, kHistory).Serialize(), live.Serialize());
+  }
 }
 
 TEST(ServerStoreTest, EpochBumpsOnEveryRecovery) {
@@ -221,7 +324,7 @@ TEST(ServerStoreTest, NeedsCompactionTracksThresholdAndProgress) {
   store.Flush(nullptr);
   loop.Run();
   EXPECT_TRUE(store.NeedsCompaction());
-  store.WriteSnapshot(BytesFromString("img"), {});
+  store.WriteSnapshot(ObjectImage{}, {});
   EXPECT_FALSE(store.NeedsCompaction());  // one compaction at a time
   loop.Run();
   EXPECT_FALSE(store.NeedsCompaction());  // WAL truncated

@@ -5,6 +5,7 @@
 #include "src/store/conflict.h"
 #include "src/store/object_store.h"
 #include "src/tclite/value.h"
+#include "src/util/rng.h"
 
 namespace rover {
 namespace {
@@ -250,6 +251,116 @@ TEST(ObjectStoreTest, HistoryLimitFallsBackToEmptyAncestor) {
   auto elems = TclListSplit(store.Get("s")->data);
   std::set<std::string> set(elems->begin(), elems->end());
   EXPECT_EQ(set, (std::set<std::string>{"a", "b", "c"}));
+}
+
+// --- snapshot images ---
+
+// The image wire format, rebuilt from the store's public read API only:
+// per object (name order) the committed descriptor, then the journaled
+// history oldest first.
+Bytes ReferenceImage(const ObjectStore& store) {
+  WireWriter writer;
+  const std::vector<std::string> names = store.List();
+  writer.WriteVarint(names.size());
+  for (const std::string& name : names) {
+    const RdoDescriptor committed = *store.Get(name);
+    writer.WriteBytes(committed.Encode());
+    std::vector<Bytes> history;
+    for (uint64_t v = 1; v < committed.version; ++v) {
+      auto old = store.GetVersion(name, v);
+      if (old.ok()) {
+        history.push_back(old->Encode());
+      }
+    }
+    writer.WriteVarint(history.size());
+    for (const Bytes& old : history) {
+      writer.WriteBytes(old);
+    }
+  }
+  return writer.TakeData();
+}
+
+// Sizes straddling the varint length boundaries (1, 2 and 3 bytes).
+std::string RandomData(Rng* rng) {
+  static const size_t kSizes[] = {0, 5, 127, 128, 300, 16383, 16384, 20000};
+  const size_t n = kSizes[rng->NextBelow(sizeof(kSizes) / sizeof(kSizes[0]))];
+  return std::string(n, static_cast<char>('a' + rng->NextBelow(26)));
+}
+
+TEST(ObjectImageTest, SnapshotEncodesLikeSerializeOverRandomStores) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ObjectStore store(/*history_limit=*/3);
+    ConflictResolverRegistry resolvers;
+    std::vector<std::pair<ObjectImage, Bytes>> taken;  // earlier snapshots
+    bool exported_conflict = false;
+    for (int step = 0; step < 60; ++step) {
+      const std::string name = "obj/" + std::to_string(rng.NextBelow(5));
+      RdoDescriptor d = Desc(name, "set", RandomData(&rng));
+      if (rng.NextBool(0.3)) {
+        d.metadata["owner"] = RandomData(&rng);
+      }
+      const uint64_t current = store.VersionOf(name).ok() ? *store.VersionOf(name) : 0;
+      switch (rng.NextBelow(5)) {
+        case 0:
+          ASSERT_TRUE(store.Put(d).ok());
+          break;
+        case 1:
+          if (current > 0) {
+            (void)store.Remove(name);
+          }
+          break;
+        case 2:
+          d.version = current + 1 + rng.NextBelow(3);  // WAL replay may skip versions
+          store.RestoreCommit(d);
+          break;
+        default:
+          if (current > 1) {
+            // Diverged from an older base: the set resolver merges.
+            d.data = "x y";
+            auto outcome = store.ApplyExport(d, current - 1, resolvers);
+            ASSERT_TRUE(outcome.ok()) << outcome.status();
+            exported_conflict |= outcome->was_conflict;
+          } else if (current == 1) {
+            ASSERT_TRUE(store.ApplyExport(d, current, resolvers).ok());
+          }
+          break;
+      }
+      const ObjectImage image = store.Snapshot();
+      const Bytes serialized = store.Serialize();
+      ASSERT_EQ(ObjectStore::EncodeImage(image), serialized);
+      ASSERT_EQ(ObjectStore::ImageByteSize(image), serialized.size());
+      ASSERT_EQ(serialized, ReferenceImage(store));
+      if (step % 10 == 0) {
+        taken.emplace_back(image, serialized);
+      }
+    }
+    EXPECT_TRUE(exported_conflict);
+    // Later mutations never reach into an earlier image.
+    for (const auto& [image, serialized] : taken) {
+      EXPECT_EQ(ObjectStore::EncodeImage(image), serialized);
+    }
+    // Adopting an image or loading its bytes reproduces the store.
+    ObjectStore adopted(3);
+    adopted.Adopt(store.Snapshot());
+    EXPECT_EQ(adopted.Serialize(), store.Serialize());
+    ObjectStore loaded(3);
+    ASSERT_TRUE(loaded.Load(store.Serialize()).ok());
+    EXPECT_EQ(loaded.Serialize(), store.Serialize());
+  }
+}
+
+TEST(ObjectImageTest, EncodedSizeMatchesEncode) {
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    RdoDescriptor d = Desc(RandomData(&rng), RandomData(&rng), RandomData(&rng));
+    d.version = rng.NextU64() >> rng.NextBelow(64);
+    for (uint64_t m = rng.NextBelow(3); m > 0; --m) {
+      d.metadata[RandomData(&rng)] = RandomData(&rng);
+    }
+    ASSERT_EQ(d.EncodedSize(), d.Encode().size());
+  }
 }
 
 }  // namespace
