@@ -295,17 +295,33 @@ void BM_SchedulerEnqueueCancel10k(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerEnqueueCancel10k);
 
+// Arg 0: schedule and run 1000 near events. Arg 1: the deadline/TTL shape
+// of flappy_fanout -- arm a 15 s timer, then cancel it, with 30 000 far
+// timers standing. Arg 1 is the ablation row for timer storage: a wheel
+// (or any other far-timer structure) must beat the plain heap here.
 void BM_EventLoopDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    EventLoop loop;
-    for (int i = 0; i < 1000; ++i) {
-      loop.ScheduleAfter(Duration::Micros(i), [] {});
+  if (state.range(0) == 0) {
+    for (auto _ : state) {
+      EventLoop loop;
+      for (int i = 0; i < 1000; ++i) {
+        loop.ScheduleAfter(Duration::Micros(i), [] {});
+      }
+      loop.Run();
     }
-    loop.Run();
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+    return;
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1000);
+  EventLoop loop;
+  for (int i = 0; i < 30'000; ++i) {
+    loop.ScheduleAfter(Duration::Seconds(60 + i % 3600), [] {});
+  }
+  for (auto _ : state) {
+    const EventId id = loop.ScheduleAfter(Duration::Seconds(15), [] {});
+    benchmark::DoNotOptimize(loop.Cancel(id));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventLoopDispatch);
+BENCHMARK(BM_EventLoopDispatch)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace rover

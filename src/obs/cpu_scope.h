@@ -26,7 +26,7 @@ class Registry;
 enum class CpuZone : uint8_t {
   kSchedulerDispatch = 0,  // scheduler enqueue/drain/batch outcome
   kConnectivity,           // peer link lookup + wakeup arming
-  kEventLoopPop,           // event-loop pop mechanics (cascade, heap, tombstones)
+  kEventLoopPop,           // event-loop pop mechanics (heap, tombstones)
   kMarshal,                // frame encode/decode
   kWalFlush,               // stable log / WAL flush path
   kInvalidationFanout,     // server invalidation encode + enqueue

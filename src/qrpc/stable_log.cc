@@ -166,18 +166,7 @@ Result<Buffer> StableLog::RecordPayload(const Record& rec) const {
   return Buffer(std::move(raw));
 }
 
-void StableLog::Flush(FlushCallback done) { FlushInternal(std::move(done)); }
-
-void StableLog::Flush(std::function<void()> done) {
-  if (!done) {
-    FlushInternal(FlushCallback{});
-    return;
-  }
-  // Legacy callers observe completion, not the outcome.
-  FlushInternal([done = std::move(done)](const Status&) { done(); });
-}
-
-void StableLog::FlushInternal(FlushCallback done) {
+void StableLog::Flush(FlushCallback done) {
   obs::CpuScope cpu(obs::CpuZone::kWalFlush);
   if (cost_model_.group_commit) {
     waiting_flushes_.push_back(std::move(done));

@@ -127,9 +127,6 @@ class StableLog {
   // are not written again -- an overlapping flush only pays for (and charges
   // stats for) the remainder.
   void Flush(FlushCallback done);
-  // Legacy form for callers that do not inspect the outcome.
-  void Flush(std::function<void()> done);
-  void Flush(std::nullptr_t) { Flush(FlushCallback{}); }
 
   // True when no appended record is awaiting a flush.
   bool FullyDurable() const;
@@ -237,7 +234,6 @@ class StableLog {
     std::vector<FlushCallback> callbacks;
   };
 
-  void FlushInternal(FlushCallback done);
   void StartGroupWrite();
   void ScheduleAttempt(std::shared_ptr<WriteJob> job);
   void CompleteWrite(const std::shared_ptr<WriteJob>& job, const Status& status);

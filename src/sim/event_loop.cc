@@ -7,12 +7,18 @@
 
 namespace rover {
 
+namespace {
+constexpr TimePoint kNoBound = TimePoint::FromMicros(INT64_MAX);
+}  // namespace
+
 EventId EventLoop::ScheduleAt(TimePoint t, std::function<void()> fn) {
   if (t < now_) {
     t = now_;
   }
   const uint64_t seq = next_seq_++;
-  InsertEvent(Event{t, seq, std::move(fn)});
+  live_.insert(seq);
+  heap_.push_back(Event{t, seq, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
   return seq;
 }
 
@@ -20,188 +26,56 @@ EventId EventLoop::ScheduleAfter(Duration d, std::function<void()> fn) {
   return ScheduleAt(now_ + d, std::move(fn));
 }
 
-void EventLoop::PushHeap(Event ev) {
-  heap_ids_.insert(ev.seq);
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
-}
-
-void EventLoop::InsertEvent(Event ev) {
-  const int64_t when = ev.when.micros();
-  const int64_t delta = when - now_.micros();
-  if (!wheel_enabled_ || delta < kNearHorizonMicros) {
-    PushHeap(std::move(ev));
-    return;
-  }
-  for (int level = 0; level < kWheelLevels; ++level) {
-    if (delta >= LevelSpanMicros(level)) {
-      continue;
-    }
-    const int slot = static_cast<int>((when >> LevelShift(level)) & (kSlots - 1));
-    Slot& s = wheel_[level][slot];
-    s.min_when = std::min(s.min_when, when);
-    wheel_next_ = std::min(wheel_next_, s.min_when);
-    wheel_index_.emplace(
-        ev.seq, Locator{static_cast<uint8_t>(level), static_cast<uint8_t>(slot),
-                        static_cast<uint32_t>(s.events.size())});
-    s.events.push_back(std::move(ev));
-    ++wheel_count_;
-    return;
-  }
-  // Beyond the top span (~76h out): park in the overflow map.
-  overflow_min_ = std::min(overflow_min_, when);
-  wheel_next_ = std::min(wheel_next_, overflow_min_);
-  overflow_.emplace(ev.seq, std::move(ev));
-}
-
 bool EventLoop::Cancel(EventId id) {
-  if (id == kInvalidEventId || id >= next_seq_) {
-    return false;
+  // The heap entry becomes a tombstone, reclaimed at pop or by compaction.
+  if (live_.erase(id) == 0) {
+    return false;  // already ran, already cancelled, or unknown
   }
-  // Wheel-resident: reclaim in place (swap-remove keeps the slot dense).
-  auto wit = wheel_index_.find(id);
-  if (wit != wheel_index_.end()) {
-    const Locator loc = wit->second;
-    auto& events = wheel_[loc.level][loc.slot].events;
-    if (loc.pos + 1 != events.size()) {
-      events[loc.pos] = std::move(events.back());
-      wheel_index_[events[loc.pos].seq].pos = loc.pos;
-    }
-    events.pop_back();
-    if (events.empty()) {
-      wheel_[loc.level][loc.slot].min_when = INT64_MAX;
-    }
-    wheel_index_.erase(wit);
-    --wheel_count_;
-    return true;
-  }
-  if (overflow_.erase(id) > 0) {
-    // overflow_min_ may now be stale; it stays a valid lower bound.
-    return true;
-  }
-  // Heap-resident: tombstone, reclaimed at pop or by compaction.
-  if (heap_ids_.erase(id) > 0) {
-    cancelled_.insert(id);
-    CompactHeapIfNeeded();
-    return true;
-  }
-  return false;  // already ran, already cancelled, or unknown
+  CompactHeapIfNeeded();
+  return true;
 }
 
 void EventLoop::CompactHeapIfNeeded() {
   // Rebuild once tombstones outnumber live entries (and are worth the
   // walk): memory and per-pop skip cost stay proportional to live events.
-  if (cancelled_.size() < 64 || cancelled_.size() * 2 <= heap_.size()) {
+  const size_t tombstones = heap_.size() - live_.size();
+  if (tombstones < 64 || tombstones * 2 <= heap_.size()) {
     return;
   }
   auto live_end = std::remove_if(heap_.begin(), heap_.end(), [this](const Event& ev) {
-    return cancelled_.count(ev.seq) > 0;
+    return live_.count(ev.seq) == 0;
   });
   heap_.erase(live_end, heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), EventOrder{});
-  cancelled_.clear();
 }
 
-void EventLoop::CascadeDue(int64_t bound) {
-  // Dump every slot whose lower bound reaches `bound` into the heap. The
-  // heap re-establishes exact (time, seq) order, so flushing a whole slot
-  // early is always correct -- the wheel only needs to guarantee nothing
-  // that should run at or before `bound` is still parked afterwards.
-  for (int level = 0; level < kWheelLevels; ++level) {
-    for (int slot = 0; slot < kSlots; ++slot) {
-      Slot& s = wheel_[level][slot];
-      if (s.events.empty() || s.min_when > bound) {
-        continue;
-      }
-      for (Event& ev : s.events) {
-        wheel_index_.erase(ev.seq);
-        PushHeap(std::move(ev));
-      }
-      wheel_count_ -= s.events.size();
-      s.events.clear();
-      s.min_when = INT64_MAX;
-    }
-  }
-  if (overflow_min_ <= bound && !overflow_.empty()) {
-    // Re-sort overflow entries: anything now inside the wheel span moves
-    // down; anything at or before `bound` must reach the heap regardless.
-    std::vector<Event> moved;
-    int64_t remaining_min = INT64_MAX;
-    for (auto it = overflow_.begin(); it != overflow_.end();) {
-      const int64_t when = it->second.when.micros();
-      if (when <= bound || when - now_.micros() < LevelSpanMicros(kWheelLevels - 1)) {
-        moved.push_back(std::move(it->second));
-        it = overflow_.erase(it);
-      } else {
-        remaining_min = std::min(remaining_min, when);
-        ++it;
-      }
-    }
-    overflow_min_ = remaining_min;
-    for (Event& ev : moved) {
-      if (ev.when.micros() <= bound) {
-        PushHeap(std::move(ev));
-      } else {
-        InsertEvent(std::move(ev));
-      }
-    }
-  }
-  // Refresh the global lower bound from the (possibly stale) slot bounds.
-  int64_t next = overflow_min_;
-  for (const auto& level : wheel_) {
-    for (const Slot& s : level) {
-      next = std::min(next, s.min_when);
-    }
-  }
-  wheel_next_ = next;
-}
-
-bool EventLoop::PrepareNext() {
-  for (;;) {
-    // Reclaim tombstones that reached the heap front.
-    while (!heap_.empty() && cancelled_.erase(heap_.front().seq) > 0) {
-      std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
-      heap_.pop_back();
-    }
-    const int64_t front_when = heap_.empty() ? INT64_MAX : heap_.front().when.micros();
-    if ((wheel_count_ == 0 && overflow_.empty()) || wheel_next_ > front_when) {
-      return !heap_.empty();
-    }
-    // A wheel slot could hold an event ordered at or before the heap
-    // front; flush and re-check. CascadeDue refreshes wheel_next_, so a
-    // stale lower bound makes progress instead of looping.
-    CascadeDue(front_when);
-  }
-}
-
-void EventLoop::RunPrepared() {
-  std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  heap_ids_.erase(ev.seq);
-  now_ = ev.when;
-  ev.fn();
-}
-
-bool EventLoop::PopAndRun() {
+bool EventLoop::RunNext(TimePoint t) {
+  std::function<void()> fn;
   {
     obs::CpuScope cpu(obs::CpuZone::kEventLoopPop);
-    if (!PrepareNext()) {
-      return false;
+    for (;;) {
+      // A tombstone front bounds every live entry from below, so stopping
+      // at it when it lies past t is exact.
+      if (heap_.empty() || heap_.front().when > t) {
+        return false;
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
+      Event ev = std::move(heap_.back());
+      heap_.pop_back();
+      if (live_.erase(ev.seq) > 0) {
+        now_ = ev.when;
+        fn = std::move(ev.fn);
+        break;
+      }
     }
-    std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
   }
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  heap_ids_.erase(ev.seq);
-  now_ = ev.when;
-  ev.fn();
+  fn();
   return true;
 }
 
 size_t EventLoop::Run() {
   size_t executed = 0;
-  while (executed < event_limit_ && PopAndRun()) {
+  while (executed < event_limit_ && RunNext(kNoBound)) {
     ++executed;
   }
   return executed;
@@ -209,16 +83,7 @@ size_t EventLoop::Run() {
 
 size_t EventLoop::RunUntil(TimePoint t) {
   size_t executed = 0;
-  while (executed < event_limit_) {
-    bool ready;
-    {
-      obs::CpuScope cpu(obs::CpuZone::kEventLoopPop);
-      ready = PrepareNext() && heap_.front().when <= t;
-    }
-    if (!ready) {
-      break;
-    }
-    RunPrepared();
+  while (executed < event_limit_ && RunNext(t)) {
     ++executed;
   }
   if (now_ < t) {
@@ -229,10 +94,14 @@ size_t EventLoop::RunUntil(TimePoint t) {
 
 size_t EventLoop::RunFor(Duration d) { return RunUntil(now_ + d); }
 
-bool EventLoop::Step() { return PopAndRun(); }
+bool EventLoop::Step() { return RunNext(kNoBound); }
 
 std::optional<TimePoint> EventLoop::NextEventTime() {
-  if (!PrepareNext()) {
+  while (!heap_.empty() && live_.count(heap_.front().seq) == 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
+    heap_.pop_back();
+  }
+  if (heap_.empty()) {
     return std::nullopt;
   }
   return heap_.front().when;

@@ -3,27 +3,21 @@
 // applications) schedules callbacks on it. Events at equal timestamps run
 // in scheduling order, which keeps runs fully deterministic.
 //
-// Storage is hybrid (see docs/architecture.md "Scaling the fan-in path"):
-// near-term events live in a binary min-heap ordered by (time, seq); far
-// timers -- deadlines, TTLs, breaker cooldowns, scrub intervals, the
-// population that is mostly *cancelled* before it fires -- live in a
-// hierarchical timer wheel with O(1) insert and O(1) cancel that reclaims
-// the entry immediately (no tombstone lingering until its timestamp pops).
-// Wheel slots are flushed into the heap before any event they could
-// precede executes, so the observable execution order is bit-for-bit the
-// (time, seq) order of a plain heap. Heap cancellations still tombstone
-// (a binary heap has no O(1) erase), but the loop compacts the heap when
-// tombstones outnumber live entries, bounding both memory and pop cost
-// under arm/cancel churn.
+// Storage is one binary min-heap ordered by (time, seq) plus the set of
+// live ids (scheduled, not yet run, not cancelled). Cancel only erases the
+// id, so the heap entry stays behind as a tombstone that is dropped when it
+// reaches the front. Timers that are mostly cancelled before they fire --
+// deadlines, TTLs, breaker cooldowns -- would otherwise pile up, so the
+// loop compacts the heap once tombstones are at least 64 and more than
+// half of it, keeping memory and pop cost proportional to live events
+// (see docs/architecture.md "Timer storage").
 
 #ifndef ROVER_SRC_SIM_EVENT_LOOP_H_
 #define ROVER_SRC_SIM_EVENT_LOOP_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -49,7 +43,6 @@ class EventLoop {
   EventId ScheduleAfter(Duration d, std::function<void()> fn);
 
   // Cancels a pending event. Returns false if it already ran or is unknown.
-  // Wheel-resident events (far timers) are reclaimed immediately.
   bool Cancel(EventId id);
 
   // Runs events until the queue is empty. Returns the number executed.
@@ -68,23 +61,16 @@ class EventLoop {
   // advance time.
   std::optional<TimePoint> NextEventTime();
 
-  // Live (non-cancelled) events across heap, wheel, and overflow.
-  size_t pending_events() const {
-    return heap_ids_.size() + wheel_count_ + overflow_.size();
-  }
+  // Live (non-cancelled) events.
+  size_t pending_events() const { return live_.size(); }
 
   // Guard against runaway simulations: Run() aborts (returns) after this
   // many events. Default is 200M, far above any experiment in this repo.
   void set_event_limit(size_t limit) { event_limit_ = limit; }
 
-  // Test hook: with the wheel off, every event goes straight to the heap
-  // (the pre-wheel implementation). Determinism tests run the same
-  // schedule in both modes and require identical execution order.
-  void set_timer_wheel_enabled(bool on) { wheel_enabled_ = on; }
-
-  // Introspection for tests: events currently parked in wheel slots (plus
-  // the overflow ring), i.e. cancellable in O(1) without a tombstone.
-  size_t wheel_resident_events() const { return wheel_count_ + overflow_.size(); }
+  // Always 0: there is no timer wheel, every event lives in the heap. Kept
+  // for the benchmark harness, which samples it alongside the heap size.
+  size_t wheel_resident_events() const { return 0; }
   // Physical heap entries, including not-yet-reclaimed tombstones.
   size_t heap_physical_size() const { return heap_.size(); }
 
@@ -103,67 +89,17 @@ class EventLoop {
     }
   };
 
-  // Wheel geometry: 4 levels x 64 slots. Level L buckets timestamps by
-  // 2^(14 + 6L) us, so slot widths are ~16ms / ~1s / ~67s / ~71min and the
-  // levels span ~1s / ~67s / ~71min / ~76h of delta from now(). Events
-  // farther out than the top span (rare: "never"-style sentinels) sit in
-  // an id-keyed overflow map, also O(1) to cancel.
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kSlotBits = 6;
-  static constexpr int kSlots = 1 << kSlotBits;
-  static constexpr int kShift0 = 14;
-  static constexpr int LevelShift(int level) { return kShift0 + kSlotBits * level; }
-  static constexpr int64_t LevelSpanMicros(int level) {
-    return static_cast<int64_t>(kSlots) << LevelShift(level);
-  }
-  // Events closer than this go straight to the heap.
-  static constexpr int64_t kNearHorizonMicros = int64_t{1} << kShift0;
-
-  struct Slot {
-    std::vector<Event> events;
-    // Lower bound on the earliest `when` present; exact on insert, left
-    // conservatively stale by cancellation, reset when the slot empties.
-    int64_t min_when = INT64_MAX;
-  };
-  struct Locator {
-    uint8_t level;
-    uint8_t slot;
-    uint32_t pos;
-  };
-
-  void InsertEvent(Event ev);
-  void PushHeap(Event ev);
   void CompactHeapIfNeeded();
-  // Flushes every wheel slot (and overflow entry) that could hold an event
-  // with when <= bound into the heap, then refreshes wheel_next_.
-  void CascadeDue(int64_t bound);
-  // Ensures the heap front is the globally next live event (cascading and
-  // dropping tombstones as needed). False when nothing is pending.
-  bool PrepareNext();
-  // Pops and runs the prepared heap front.
-  void RunPrepared();
-  bool PopAndRun();
+  // Pops heap entries with when <= t, discarding tombstones, and runs the
+  // first live one. False when no live event at or before t remains.
+  bool RunNext(TimePoint t);
 
   TimePoint now_ = TimePoint::Epoch();
   uint64_t next_seq_ = 1;
   size_t event_limit_ = 200'000'000;
-  bool wheel_enabled_ = true;
 
-  // Near-term storage: binary heap + live-id set + tombstone set.
   std::vector<Event> heap_;
-  std::unordered_set<uint64_t> heap_ids_;   // live heap events
-  std::unordered_set<uint64_t> cancelled_;  // tombstoned heap events
-
-  // Far-timer storage.
-  std::array<std::array<Slot, kSlots>, kWheelLevels> wheel_;
-  std::unordered_map<uint64_t, Locator> wheel_index_;
-  size_t wheel_count_ = 0;
-  std::unordered_map<uint64_t, Event> overflow_;
-  int64_t overflow_min_ = INT64_MAX;
-  // Lower bound over every slot's min_when and overflow_min_; the pop path
-  // compares the heap front against this single number and touches the
-  // wheel only when it could matter.
-  int64_t wheel_next_ = INT64_MAX;
+  std::unordered_set<uint64_t> live_;  // heap entries not in here are tombstones
 };
 
 }  // namespace rover

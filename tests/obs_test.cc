@@ -166,10 +166,10 @@ TEST(StableLogOverlapTest, RedundantFlushWritesNothingButWaitsForDurability) {
   log.Append(Bytes(100, 1));
   TimePoint first_done;
   TimePoint second_done;
-  log.Flush([&] { first_done = loop.now(); });
+  log.Flush([&](const Status&) { first_done = loop.now(); });
   // No new appends: this flush has nothing to write, but its completion
   // still represents "everything so far is durable".
-  log.Flush([&] { second_done = loop.now(); });
+  log.Flush([&](const Status&) { second_done = loop.now(); });
   loop.Run();
   EXPECT_EQ(log.stats().flushes, 1u) << "redundant flush issued a device write";
   EXPECT_GE(second_done, first_done);

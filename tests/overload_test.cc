@@ -711,16 +711,17 @@ TEST_P(OverloadChaosTest, SustainedOverloadDegradesGracefullyAndDrains) {
 
   // Sample the client's memory every 250ms through the loaded window.
   size_t max_log_bytes = 0, max_queued_bytes = 0;
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [&, sampler] {
+  // Re-arms itself by reference: the frame owns it, so no ownership cycle.
+  std::function<void()> sampler;
+  sampler = [&] {
     max_log_bytes = std::max(max_log_bytes, client->log()->TotalBytes());
     max_queued_bytes = std::max(
         max_queued_bytes, client->transport()->scheduler()->QueuedPayloadBytes());
     if (bed.loop()->now() < At(69)) {
-      bed.loop()->ScheduleAfter(Duration::Millis(250), *sampler);
+      bed.loop()->ScheduleAfter(Duration::Millis(250), sampler);
     }
   };
-  bed.loop()->ScheduleAt(At(1), *sampler);
+  bed.loop()->ScheduleAt(At(1), sampler);
 
   bed.Run();
 

@@ -108,7 +108,7 @@ TEST_F(StableLogTest, AppendFlushTruncate) {
   const uint64_t id2 = log.Append(Bytes{2});
   EXPECT_FALSE(log.FullyDurable());
   bool flushed = false;
-  log.Flush([&] { flushed = true; });
+  log.Flush([&](const Status&) { flushed = true; });
   loop_.Run();
   EXPECT_TRUE(flushed);
   EXPECT_TRUE(log.FullyDurable());
@@ -126,7 +126,7 @@ TEST_F(StableLogTest, FlushCostModelCharged) {
   StableLog paid(&loop_, model);
   paid.Append(Bytes(10000, 1));
   TimePoint done;
-  paid.Flush([&] { done = loop_.now(); });
+  paid.Flush([&](const Status&) { done = loop_.now(); });
   loop_.Run();
   // 10ms base + ~10KB/1MBps = ~10ms.
   EXPECT_NEAR(done.seconds(), 0.020, 0.001);
@@ -161,9 +161,9 @@ TEST_F(StableLogTest, SerialFlushesQueue) {
   StableLog log(&loop_, model);
   std::vector<double> completions;
   log.Append(Bytes(100, 1));
-  log.Flush([&] { completions.push_back(loop_.now().seconds()); });
+  log.Flush([&](const Status&) { completions.push_back(loop_.now().seconds()); });
   log.Append(Bytes(100, 2));
-  log.Flush([&] { completions.push_back(loop_.now().seconds()); });
+  log.Flush([&](const Status&) { completions.push_back(loop_.now().seconds()); });
   loop_.Run();
   ASSERT_EQ(completions.size(), 2u);
   EXPECT_GT(completions[1], completions[0]);
@@ -506,7 +506,7 @@ TEST(StableLogGroupCommitTest, BurstCoalescesIntoFewWrites) {
   int completed = 0;
   for (int i = 0; i < 16; ++i) {
     log.Append(Bytes(64, static_cast<uint8_t>(i)));
-    log.Flush([&] { ++completed; });
+    log.Flush([&](const Status&) { ++completed; });
   }
   loop.Run();
   EXPECT_EQ(completed, 16);
@@ -524,7 +524,7 @@ TEST(StableLogGroupCommitTest, RecordsAppendedDuringWriteJoinNextWrite) {
 
   log.Append(Bytes{1});
   bool first_done = false;
-  log.Flush([&] { first_done = true; });
+  log.Flush([&](const Status&) { first_done = true; });
   // While the first write is in flight, append + flush another record.
   loop.ScheduleAfter(Duration::Millis(5), [&] {
     log.Append(Bytes{2});
@@ -780,7 +780,12 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
     auto t = std::make_shared<TrackedCall>();
     t->label = label;
     t->call = client_->Call("server", "count", {}, opts);
-    t->call.result.OnReady([t](const QrpcResult&) { ++t->resolutions; });
+    // A weak capture: `t` owns the promise holding this callback.
+    t->call.result.OnReady([weak = std::weak_ptr<TrackedCall>(t)](const QrpcResult&) {
+      if (auto tracked = weak.lock()) {
+        ++tracked->resolutions;
+      }
+    });
     calls.push_back(t);
     return t;
   };

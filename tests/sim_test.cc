@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/connectivity.h"
@@ -335,53 +339,96 @@ TEST(LinkTest, CorruptionDamagesFrameAndInformsSender) {
   EXPECT_EQ(link->stats().frames_corrupted, 1u);
 }
 
-// --- Timer wheel + tombstone bounds -----------------------------------------
-
-TEST(EventLoopTest, FarTimersParkInWheelAndCancelReclaimsImmediately) {
-  EventLoop loop;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(loop.ScheduleAfter(Duration::Seconds(60 + i), [] {}));
-  }
-  // Far timers live in the wheel, not the heap.
-  EXPECT_EQ(loop.wheel_resident_events(), 1000u);
-  EXPECT_EQ(loop.heap_physical_size(), 0u);
-  for (EventId id : ids) {
-    EXPECT_TRUE(loop.Cancel(id));
-  }
-  // O(1) cancel reclaims the entries: no tombstones anywhere.
-  EXPECT_EQ(loop.pending_events(), 0u);
-  EXPECT_EQ(loop.wheel_resident_events(), 0u);
-  EXPECT_EQ(loop.heap_physical_size(), 0u);
-  EXPECT_EQ(loop.Run(), 0u);
-}
+// --- Tombstone bounds and execution order -----------------------------------
 
 TEST(EventLoopTest, HeapTombstonesStayBoundedUnderArmCancelChurn) {
   // The deadline-arm-then-cancel pattern (retries that succeed, TTLs that
   // never fire) must not accumulate state: pending_events() reports zero
-  // and the physical heap is compacted, not grown, across 10k rounds.
-  EventLoop loop;
-  for (int round = 0; round < 10'000; ++round) {
-    EventId id =
-        loop.ScheduleAfter(Duration::Micros(1000 + (round % 97)), [] {});
-    EXPECT_TRUE(loop.Cancel(id));
-    EXPECT_FALSE(loop.Cancel(id));  // reclaim/tombstone is single-shot
-    ASSERT_EQ(loop.pending_events(), 0u);
-    ASSERT_LE(loop.heap_physical_size(), 200u);
+  // and the physical heap is compacted, not grown.
+  {
+    SCOPED_TRACE("near timers, armed and cancelled one at a time");
+    EventLoop loop;
+    for (int round = 0; round < 10'000; ++round) {
+      EventId id =
+          loop.ScheduleAfter(Duration::Micros(1000 + (round % 97)), [] {});
+      EXPECT_TRUE(loop.Cancel(id));
+      EXPECT_FALSE(loop.Cancel(id));  // tombstoning is single-shot
+      ASSERT_EQ(loop.pending_events(), 0u);
+      ASSERT_LE(loop.heap_physical_size(), 200u);
+    }
+    EXPECT_EQ(loop.Run(), 0u);
   }
-  EXPECT_EQ(loop.Run(), 0u);
+  {
+    SCOPED_TRACE("1000 far timers standing, then all cancelled");
+    EventLoop loop;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 1000; ++i) {
+      ids.push_back(loop.ScheduleAfter(Duration::Seconds(60 + i), [] {}));
+    }
+    EXPECT_EQ(loop.pending_events(), 1000u);
+    for (EventId id : ids) {
+      EXPECT_TRUE(loop.Cancel(id));
+    }
+    EXPECT_EQ(loop.pending_events(), 0u);
+    // Compaction runs from 64 tombstones up, so fewer than 64 remain.
+    EXPECT_LT(loop.heap_physical_size(), 64u);
+    EXPECT_EQ(loop.Run(), 0u);
+    EXPECT_EQ(loop.heap_physical_size(), 0u);
+  }
 }
 
-TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
-  // Replay one pseudo-random schedule -- same-tick ties, near and far
-  // horizons, overflow-range timers, nested re-arms, and cancellations --
-  // against both storage backends. Event ids are allocated in schedule
-  // order, so identical execution order implies identical id streams and
-  // the cancels hit the same targets in both runs.
-  auto replay = [](bool wheel_on) {
-    EventLoop loop;
-    loop.set_timer_wheel_enabled(wheel_on);
-    std::vector<uint64_t> order;
+// Reference scheduler for the order test: an ordered set of (when, seq)
+// with erase-on-cancel, the definition EventLoop's heap must match.
+class ReferenceLoop {
+ public:
+  TimePoint now() const { return TimePoint::FromMicros(now_); }
+
+  EventId ScheduleAfter(Duration d, std::function<void()> fn) {
+    const EventId id = next_seq_++;
+    queue_.emplace(now_ + d.micros(), id);
+    pending_.emplace(id, Pending{now_ + d.micros(), std::move(fn)});
+    return id;
+  }
+
+  bool Cancel(EventId id) {
+    auto it = pending_.find(id);
+    if (it == pending_.end()) {
+      return false;
+    }
+    queue_.erase({it->second.when, id});
+    pending_.erase(it);
+    return true;
+  }
+
+  void Run() {
+    while (!queue_.empty()) {
+      const auto [when, id] = *queue_.begin();
+      queue_.erase(queue_.begin());
+      auto node = pending_.extract(id);
+      now_ = when;
+      node.mapped().fn();
+    }
+  }
+
+ private:
+  struct Pending {
+    int64_t when;
+    std::function<void()> fn;
+  };
+  int64_t now_ = 0;
+  EventId next_seq_ = 1;
+  std::set<std::pair<int64_t, EventId>> queue_;
+  std::map<EventId, Pending> pending_;
+};
+
+TEST(EventLoopTest, ExecutionOrderMatchesReferenceModel) {
+  // Replay one pseudo-random schedule -- same-tick ties, deltas on both
+  // sides of 2^14 us, deltas of 76 h and more, nested re-arms, and
+  // cancellations -- against EventLoop and the reference model. Event ids
+  // are allocated in schedule order, so identical execution traces imply
+  // identical id streams and the cancels hit the same targets in both runs.
+  auto replay = [](auto& loop) {
+    std::vector<std::pair<uint64_t, int64_t>> order;  // (tag, now) or cancel
     uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng] {
       rng = rng * 6364136223846793005ull + 1442695040888963407ull;
@@ -390,7 +437,7 @@ TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
     std::vector<EventId> armed;
     int spawned = 0;
     std::function<void(uint64_t)> body = [&](uint64_t tag) {
-      order.push_back(tag);
+      order.emplace_back(tag, loop.now().micros());
       if (spawned >= 3000) {
         return;
       }
@@ -405,7 +452,8 @@ TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
             loop.ScheduleAfter(d, [&body, child_tag] { body(child_tag); }));
       }
       if (!armed.empty() && next() % 3 == 0) {
-        loop.Cancel(armed[next() % armed.size()]);
+        const bool cancelled = loop.Cancel(armed[next() % armed.size()]);
+        order.emplace_back(cancelled, -1);
       }
     };
     for (uint64_t i = 0; i < 8; ++i) {
@@ -415,10 +463,12 @@ TEST(EventLoopTest, WheelExecutionOrderMatchesHeapBitForBit) {
     loop.Run();
     return order;
   };
-  const std::vector<uint64_t> with_wheel = replay(true);
-  const std::vector<uint64_t> heap_only = replay(false);
-  ASSERT_GT(with_wheel.size(), 1000u);
-  EXPECT_EQ(with_wheel, heap_only);
+  EventLoop loop;
+  ReferenceLoop reference;
+  const auto actual = replay(loop);
+  const auto expected = replay(reference);
+  ASSERT_GT(actual.size(), 1000u);
+  EXPECT_EQ(actual, expected);
 }
 
 // --- Peer-indexed connectivity ----------------------------------------------
