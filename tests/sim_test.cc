@@ -341,40 +341,40 @@ TEST(LinkTest, CorruptionDamagesFrameAndInformsSender) {
 
 // --- Tombstone bounds and execution order -----------------------------------
 
+// Far timers (minutes to hours out) once parked in a separate wheel; they
+// now share the one heap, and cancelling them all must still leave nothing
+// to run and almost nothing stored.
+TEST(EventLoopTest, FarTimersParkInWheelAndCancelReclaimsImmediately) {
+  EventLoop loop;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(loop.ScheduleAfter(Duration::Seconds(60 + i), [] {}));
+  }
+  EXPECT_EQ(loop.pending_events(), 1000u);
+  for (EventId id : ids) {
+    EXPECT_TRUE(loop.Cancel(id));
+  }
+  EXPECT_EQ(loop.pending_events(), 0u);
+  // Compaction runs from 64 tombstones up, so fewer than 64 remain.
+  EXPECT_LT(loop.heap_physical_size(), 64u);
+  EXPECT_EQ(loop.Run(), 0u);
+  EXPECT_EQ(loop.heap_physical_size(), 0u);
+}
+
 TEST(EventLoopTest, HeapTombstonesStayBoundedUnderArmCancelChurn) {
   // The deadline-arm-then-cancel pattern (retries that succeed, TTLs that
   // never fire) must not accumulate state: pending_events() reports zero
-  // and the physical heap is compacted, not grown.
-  {
-    SCOPED_TRACE("near timers, armed and cancelled one at a time");
-    EventLoop loop;
-    for (int round = 0; round < 10'000; ++round) {
-      EventId id =
-          loop.ScheduleAfter(Duration::Micros(1000 + (round % 97)), [] {});
-      EXPECT_TRUE(loop.Cancel(id));
-      EXPECT_FALSE(loop.Cancel(id));  // tombstoning is single-shot
-      ASSERT_EQ(loop.pending_events(), 0u);
-      ASSERT_LE(loop.heap_physical_size(), 200u);
-    }
-    EXPECT_EQ(loop.Run(), 0u);
+  // and the physical heap is compacted, not grown, across 10k rounds.
+  EventLoop loop;
+  for (int round = 0; round < 10'000; ++round) {
+    EventId id =
+        loop.ScheduleAfter(Duration::Micros(1000 + (round % 97)), [] {});
+    EXPECT_TRUE(loop.Cancel(id));
+    EXPECT_FALSE(loop.Cancel(id));  // tombstoning is single-shot
+    ASSERT_EQ(loop.pending_events(), 0u);
+    ASSERT_LE(loop.heap_physical_size(), 200u);
   }
-  {
-    SCOPED_TRACE("1000 far timers standing, then all cancelled");
-    EventLoop loop;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 1000; ++i) {
-      ids.push_back(loop.ScheduleAfter(Duration::Seconds(60 + i), [] {}));
-    }
-    EXPECT_EQ(loop.pending_events(), 1000u);
-    for (EventId id : ids) {
-      EXPECT_TRUE(loop.Cancel(id));
-    }
-    EXPECT_EQ(loop.pending_events(), 0u);
-    // Compaction runs from 64 tombstones up, so fewer than 64 remain.
-    EXPECT_LT(loop.heap_physical_size(), 64u);
-    EXPECT_EQ(loop.Run(), 0u);
-    EXPECT_EQ(loop.heap_physical_size(), 0u);
-  }
+  EXPECT_EQ(loop.Run(), 0u);
 }
 
 // Reference scheduler for the order test: an ordered set of (when, seq)
