@@ -135,14 +135,13 @@ RunResult Measure(const LinkProfile& profile, bool optimized) {
   bed.Run();
 
   RunResult r;
-  const SchedulerStats up = client->transport()->scheduler()->stats();
-  const SchedulerStats down = bed.server()->transport()->scheduler()->stats();
-  r.client_payload_bytes = up.payload_bytes_sent;
-  r.server_payload_bytes = down.payload_bytes_sent;
+  r.client_payload_bytes = client->metrics()->CounterValue("scheduler.payload_bytes_sent");
+  r.server_payload_bytes =
+      bed.server()->metrics()->CounterValue("scheduler.payload_bytes_sent");
   r.total_payload_bytes = r.client_payload_bytes + r.server_payload_bytes;
-  r.delta_hits = client->access()->stats().delta_hits;
-  r.delta_fallbacks = client->access()->stats().delta_fallbacks;
-  r.coalesced_ops = client->qrpc()->stats().coalesced;
+  r.delta_hits = client->metrics()->CounterValue("access_manager.delta_hits");
+  r.delta_fallbacks = client->metrics()->CounterValue("access_manager.delta_fallbacks");
+  r.coalesced_ops = client->metrics()->CounterValue("qrpc_client.coalesced");
   r.drain_s = (bed.loop()->now() - TimePoint::Epoch()).seconds();
   return r;
 }

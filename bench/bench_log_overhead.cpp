@@ -44,7 +44,7 @@ double EndToEnd(const LinkProfile& profile, const StableLogCostModel& costs,
     samples.push_back((bed.loop()->now() - start).seconds());
   }
   if (flush_retries != nullptr) {
-    *flush_retries = client->log()->stats().flush_retries;
+    *flush_retries = client->metrics()->CounterValue("stable_log.flush_retries");
   }
   return Mean(samples);
 }

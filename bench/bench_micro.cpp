@@ -219,7 +219,8 @@ BENCHMARK(BM_DeltaApply);
 
 void BM_StableLogAppend(benchmark::State& state) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   const Bytes record(512, 0x33);
   for (auto _ : state) {
     benchmark::DoNotOptimize(log.Append(record));
@@ -270,7 +271,8 @@ void BM_SchedulerEnqueueCancel10k(benchmark::State& state) {
                     Duration::Seconds(1e6), Duration::Zero(),
                     TimePoint::Epoch() + Duration::Seconds(1e6)));
   }
-  TransportManager mobile(&loop, net.FindHost("mobile"));
+  obs::Registry metrics;
+  TransportManager mobile(&loop, net.FindHost("mobile"), &metrics);
   NetworkScheduler* sched = mobile.scheduler();
   uint64_t id = 1;
   auto enqueue = [&](uint64_t message_id) {

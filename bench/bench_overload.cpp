@@ -120,7 +120,7 @@ RunResult Measure(const LinkProfile& profile, int calls_per_sec) {
   tally(durable, true);
   tally(background, false);
 
-  r.pushback_honored = client->qrpc()->stats().pushback_honored;
+  r.pushback_honored = client->metrics()->CounterValue("qrpc_client.pushback_honored");
   r.drain_s = (bed.loop()->now() - TimePoint::Epoch()).seconds();
   r.goodput_per_s = r.drain_s > 0 ? static_cast<double>(r.ok) / r.drain_s : 0;
   r.shed_rate = static_cast<double>(r.exhausted) / static_cast<double>(r.offered);

@@ -44,8 +44,7 @@ Sample Measure(const LinkProfile& profile, const RdoCostModel& cpu, int iteratio
 
   std::vector<double> local;
   std::vector<double> remote;
-  const auto& sched_before = client->transport()->scheduler()->stats();
-  const uint64_t bytes_before = sched_before.bytes_sent;
+  const uint64_t bytes_before = client->metrics()->CounterValue("scheduler.bytes_sent");
 
   for (int i = 0; i < iterations; ++i) {
     {
@@ -66,7 +65,7 @@ Sample Measure(const LinkProfile& profile, const RdoCostModel& cpu, int iteratio
     }
   }
   const uint64_t bytes =
-      client->transport()->scheduler()->stats().bytes_sent - bytes_before;
+      client->metrics()->CounterValue("scheduler.bytes_sent") - bytes_before;
   return Sample{Mean(local), Mean(remote),
                 static_cast<double>(bytes) / iterations};
 }

@@ -98,8 +98,8 @@ SessionResult RunSession(const LinkProfile* profile, MigrationPolicy::Mode mode,
   cal.Sync();
   bed.loop()->RunFor(Duration::Seconds(5));
 
-  result.local = client->access()->stats().local_invokes;
-  result.remote = client->access()->stats().remote_invokes;
+  result.local = client->metrics()->CounterValue("access_manager.local_invokes");
+  result.remote = client->metrics()->CounterValue("access_manager.remote_invokes");
   result.completed = true;
   return result;
 }

@@ -31,9 +31,38 @@ std::string FormatQueueStatus(const QueueStatus& status) {
 }
 
 AccessManager::AccessManager(EventLoop* loop, TransportManager* transport,
-                             QrpcClient* qrpc, AccessManagerOptions options)
-    : loop_(loop), transport_(transport), qrpc_(qrpc), options_(std::move(options)) {
-  WireMetrics(&own_metrics_, "access_manager");
+                             QrpcClient* qrpc, obs::Registry* metrics,
+                             AccessManagerOptions options)
+    : loop_(loop), transport_(transport), qrpc_(qrpc), options_(std::move(options)),
+      c_cache_hits_(metrics->counter("access_manager.cache_hits")),
+      c_cache_misses_(metrics->counter("access_manager.cache_misses")),
+      c_imports_completed_(metrics->counter("access_manager.imports_completed")),
+      c_exports_completed_(metrics->counter("access_manager.exports_completed")),
+      c_local_invokes_(metrics->counter("access_manager.local_invokes")),
+      c_remote_invokes_(metrics->counter("access_manager.remote_invokes")),
+      c_evictions_(metrics->counter("access_manager.evictions")),
+      c_invalidations_received_(metrics->counter("access_manager.invalidations_received")),
+      c_polls_sent_(metrics->counter("access_manager.polls_sent")),
+      c_poll_staleness_detected_(metrics->counter("access_manager.poll_staleness_detected")),
+      c_conflicts_resolved_(metrics->counter("access_manager.conflicts_resolved")),
+      c_conflicts_unresolved_(metrics->counter("access_manager.conflicts_unresolved")),
+      c_prefetch_issued_(metrics->counter("access_manager.prefetch_issued")),
+      c_server_restarts_observed_(metrics->counter("access_manager.server_restarts_observed")),
+      c_prefetches_shed_(metrics->counter("access_manager.prefetches_shed")),
+      c_degraded_entered_(metrics->counter("access_manager.degraded_entered")),
+      c_cache_overflow_events_(metrics->counter("access_manager.cache_overflow_events")),
+      c_delta_hits_(metrics->counter("access_manager.delta_hits")),
+      c_delta_full_(metrics->counter("access_manager.delta_full")),
+      c_delta_not_modified_(metrics->counter("access_manager.delta_not_modified")),
+      c_delta_fallbacks_(metrics->counter("access_manager.delta_fallbacks")),
+      c_delta_bytes_saved_(metrics->counter("access_manager.delta_bytes_saved")),
+      c_storage_stale_marks_(metrics->counter("access_manager.storage_stale_marks")),
+      g_degraded_(metrics->gauge("access_manager.degraded")),
+      g_cache_overflow_bytes_(metrics->gauge("access_manager.cache_overflow_bytes")) {
+  // Gauges first: a manager rebuilt after a crash must not show the previous
+  // incarnation's values, and the observers wired below can fire them.
+  g_degraded_->Set(0);
+  UpdateOverflowGauge();
   transport_->SetHandler(MessageType::kControl,
                          [this](const Message& msg) { HandleControl(msg); });
   transport_->scheduler()->SetQueueObserver([this](size_t) { NotifyStatus(); });
@@ -43,92 +72,6 @@ AccessManager::AccessManager(EventLoop* loop, TransportManager* transport,
   if (!options_.poll_interval.is_zero()) {
     SchedulePoll();
   }
-}
-
-void AccessManager::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_cache_hits_ = registry->counter(prefix + ".cache_hits");
-  c_cache_misses_ = registry->counter(prefix + ".cache_misses");
-  c_imports_completed_ = registry->counter(prefix + ".imports_completed");
-  c_exports_completed_ = registry->counter(prefix + ".exports_completed");
-  c_local_invokes_ = registry->counter(prefix + ".local_invokes");
-  c_remote_invokes_ = registry->counter(prefix + ".remote_invokes");
-  c_evictions_ = registry->counter(prefix + ".evictions");
-  c_invalidations_received_ = registry->counter(prefix + ".invalidations_received");
-  c_polls_sent_ = registry->counter(prefix + ".polls_sent");
-  c_poll_staleness_detected_ = registry->counter(prefix + ".poll_staleness_detected");
-  c_conflicts_resolved_ = registry->counter(prefix + ".conflicts_resolved");
-  c_conflicts_unresolved_ = registry->counter(prefix + ".conflicts_unresolved");
-  c_prefetch_issued_ = registry->counter(prefix + ".prefetch_issued");
-  c_server_restarts_observed_ = registry->counter(prefix + ".server_restarts_observed");
-  c_prefetches_shed_ = registry->counter(prefix + ".prefetches_shed");
-  c_degraded_entered_ = registry->counter(prefix + ".degraded_entered");
-  c_cache_overflow_events_ = registry->counter(prefix + ".cache_overflow_events");
-  c_delta_hits_ = registry->counter(prefix + ".delta_hits");
-  c_delta_full_ = registry->counter(prefix + ".delta_full");
-  c_delta_not_modified_ = registry->counter(prefix + ".delta_not_modified");
-  c_delta_fallbacks_ = registry->counter(prefix + ".delta_fallbacks");
-  c_delta_bytes_saved_ = registry->counter(prefix + ".delta_bytes_saved");
-  c_storage_stale_marks_ = registry->counter(prefix + ".storage_stale_marks");
-  g_degraded_ = registry->gauge(prefix + ".degraded");
-  g_cache_overflow_bytes_ = registry->gauge(prefix + ".cache_overflow_bytes");
-}
-
-void AccessManager::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const AccessManagerStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_cache_hits_->Increment(carried.cache_hits);
-  c_cache_misses_->Increment(carried.cache_misses);
-  c_imports_completed_->Increment(carried.imports_completed);
-  c_exports_completed_->Increment(carried.exports_completed);
-  c_local_invokes_->Increment(carried.local_invokes);
-  c_remote_invokes_->Increment(carried.remote_invokes);
-  c_evictions_->Increment(carried.evictions);
-  c_invalidations_received_->Increment(carried.invalidations_received);
-  c_polls_sent_->Increment(carried.polls_sent);
-  c_poll_staleness_detected_->Increment(carried.poll_staleness_detected);
-  c_conflicts_resolved_->Increment(carried.conflicts_resolved);
-  c_conflicts_unresolved_->Increment(carried.conflicts_unresolved);
-  c_prefetch_issued_->Increment(carried.prefetch_issued);
-  c_server_restarts_observed_->Increment(carried.server_restarts_observed);
-  c_prefetches_shed_->Increment(carried.prefetches_shed);
-  c_degraded_entered_->Increment(carried.degraded_entered);
-  c_cache_overflow_events_->Increment(carried.cache_overflow_events);
-  c_delta_hits_->Increment(carried.delta_hits);
-  c_delta_full_->Increment(carried.delta_full);
-  c_delta_not_modified_->Increment(carried.delta_not_modified);
-  c_delta_fallbacks_->Increment(carried.delta_fallbacks);
-  c_delta_bytes_saved_->Increment(carried.delta_bytes_saved);
-  c_storage_stale_marks_->Increment(carried.storage_stale_marks);
-  g_degraded_->Set(degraded_ ? 1 : 0);
-  UpdateOverflowGauge();
-}
-
-AccessManagerStats AccessManager::stats() const {
-  AccessManagerStats s;
-  s.cache_hits = c_cache_hits_->value();
-  s.cache_misses = c_cache_misses_->value();
-  s.imports_completed = c_imports_completed_->value();
-  s.exports_completed = c_exports_completed_->value();
-  s.local_invokes = c_local_invokes_->value();
-  s.remote_invokes = c_remote_invokes_->value();
-  s.evictions = c_evictions_->value();
-  s.invalidations_received = c_invalidations_received_->value();
-  s.polls_sent = c_polls_sent_->value();
-  s.poll_staleness_detected = c_poll_staleness_detected_->value();
-  s.conflicts_resolved = c_conflicts_resolved_->value();
-  s.conflicts_unresolved = c_conflicts_unresolved_->value();
-  s.prefetch_issued = c_prefetch_issued_->value();
-  s.server_restarts_observed = c_server_restarts_observed_->value();
-  s.prefetches_shed = c_prefetches_shed_->value();
-  s.degraded_entered = c_degraded_entered_->value();
-  s.cache_overflow_events = c_cache_overflow_events_->value();
-  s.delta_hits = c_delta_hits_->value();
-  s.delta_full = c_delta_full_->value();
-  s.delta_not_modified = c_delta_not_modified_->value();
-  s.delta_fallbacks = c_delta_fallbacks_->value();
-  s.delta_bytes_saved = c_delta_bytes_saved_->value();
-  s.storage_stale_marks = c_storage_stale_marks_->value();
-  return s;
 }
 
 void AccessManager::SchedulePoll() {

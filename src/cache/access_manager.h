@@ -99,38 +99,6 @@ struct ImportOptions {
   Session* session = nullptr;
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
-struct AccessManagerStats {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t imports_completed = 0;
-  uint64_t exports_completed = 0;
-  uint64_t local_invokes = 0;
-  uint64_t remote_invokes = 0;
-  uint64_t evictions = 0;
-  uint64_t invalidations_received = 0;
-  uint64_t polls_sent = 0;
-  uint64_t poll_staleness_detected = 0;
-  uint64_t conflicts_resolved = 0;
-  uint64_t conflicts_unresolved = 0;
-  uint64_t prefetch_issued = 0;
-  // Server epoch bumps observed in responses: each one means the server
-  // restarted, so subscriptions were re-issued and its imports marked stale.
-  uint64_t server_restarts_observed = 0;
-  uint64_t prefetches_shed = 0;       // dropped on entering/while degraded
-  uint64_t degraded_entered = 0;      // times degraded mode engaged
-  // EvictIfNeeded found only tentative/pinned entries and let the cache
-  // overflow its capacity (each overage episode counts once).
-  uint64_t cache_overflow_events = 0;
-  uint64_t delta_hits = 0;          // imports answered with an applied delta
-  uint64_t delta_full = 0;          // delta requested, server sent full body
-  uint64_t delta_not_modified = 0;  // cached version was already current
-  uint64_t delta_fallbacks = 0;     // delta failed to apply; full re-fetch
-  uint64_t delta_bytes_saved = 0;   // full-body bytes the wire never carried
-  // Cache entries marked stale by MarkAllImportsStale (storage-loss sweeps).
-  uint64_t storage_stale_marks = 0;
-};
-
 // Snapshot handed to the status callback whenever it changes -- the
 // toolkit's "user notification" information (paper §3.4).
 struct QueueStatus {
@@ -159,8 +127,9 @@ class AccessManager {
                                               const std::string& tentative_data,
                                               const RdoDescriptor& committed)>;
 
+  // Counts into `metrics` under "access_manager.".
   AccessManager(EventLoop* loop, TransportManager* transport, QrpcClient* qrpc,
-                AccessManagerOptions options = {});
+                obs::Registry* metrics, AccessManagerOptions options = {});
 
   // --- the toolkit's four core operations ---
 
@@ -224,12 +193,6 @@ class AccessManager {
   // checker. Null disables (the default).
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
 
-  // Re-homes the manager's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "access_manager");
-
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  AccessManagerStats stats() const;
   const AccessManagerOptions& options() const { return options_; }
 
   // Best currently-up bandwidth to the default home server (or a named
@@ -287,7 +250,6 @@ class AccessManager {
   void PumpPrefetchQueue();
   void UpdateDegraded(size_t queue_depth);
   void UpdateOverflowGauge();
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   Result<RdoInstance*> LocalInstance(const std::string& name);
 
@@ -296,32 +258,36 @@ class AccessManager {
   QrpcClient* qrpc_;
   AccessManagerOptions options_;
   obs::CheckListener* check_ = nullptr;
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_cache_hits_ = nullptr;
-  obs::Counter* c_cache_misses_ = nullptr;
-  obs::Counter* c_imports_completed_ = nullptr;
-  obs::Counter* c_exports_completed_ = nullptr;
-  obs::Counter* c_local_invokes_ = nullptr;
-  obs::Counter* c_remote_invokes_ = nullptr;
-  obs::Counter* c_evictions_ = nullptr;
-  obs::Counter* c_invalidations_received_ = nullptr;
-  obs::Counter* c_polls_sent_ = nullptr;
-  obs::Counter* c_poll_staleness_detected_ = nullptr;
-  obs::Counter* c_conflicts_resolved_ = nullptr;
-  obs::Counter* c_conflicts_unresolved_ = nullptr;
-  obs::Counter* c_prefetch_issued_ = nullptr;
-  obs::Counter* c_server_restarts_observed_ = nullptr;
-  obs::Counter* c_prefetches_shed_ = nullptr;
-  obs::Counter* c_degraded_entered_ = nullptr;
-  obs::Counter* c_cache_overflow_events_ = nullptr;
-  obs::Counter* c_delta_hits_ = nullptr;
-  obs::Counter* c_delta_full_ = nullptr;
-  obs::Counter* c_delta_not_modified_ = nullptr;
-  obs::Counter* c_delta_fallbacks_ = nullptr;
-  obs::Counter* c_delta_bytes_saved_ = nullptr;
-  obs::Counter* c_storage_stale_marks_ = nullptr;
-  obs::Gauge* g_degraded_ = nullptr;
-  obs::Gauge* g_cache_overflow_bytes_ = nullptr;
+  obs::Counter* const c_cache_hits_;
+  obs::Counter* const c_cache_misses_;
+  obs::Counter* const c_imports_completed_;
+  obs::Counter* const c_exports_completed_;
+  obs::Counter* const c_local_invokes_;
+  obs::Counter* const c_remote_invokes_;
+  obs::Counter* const c_evictions_;
+  obs::Counter* const c_invalidations_received_;
+  obs::Counter* const c_polls_sent_;
+  obs::Counter* const c_poll_staleness_detected_;
+  obs::Counter* const c_conflicts_resolved_;
+  obs::Counter* const c_conflicts_unresolved_;
+  obs::Counter* const c_prefetch_issued_;
+  // Server epoch bumps observed in responses: each one means the server
+  // restarted, so subscriptions were re-issued and its imports marked stale.
+  obs::Counter* const c_server_restarts_observed_;
+  obs::Counter* const c_prefetches_shed_;     // dropped on entering/while degraded
+  obs::Counter* const c_degraded_entered_;    // times degraded mode engaged
+  // EvictIfNeeded found only tentative/pinned entries and let the cache
+  // overflow its capacity (each overage episode counts once).
+  obs::Counter* const c_cache_overflow_events_;
+  obs::Counter* const c_delta_hits_;          // imports answered with an applied delta
+  obs::Counter* const c_delta_full_;          // delta requested, server sent full body
+  obs::Counter* const c_delta_not_modified_;  // cached version was already current
+  obs::Counter* const c_delta_fallbacks_;     // delta failed to apply; full re-fetch
+  obs::Counter* const c_delta_bytes_saved_;   // full-body bytes the wire never carried
+  // Cache entries marked stale by MarkAllImportsStale (storage-loss sweeps).
+  obs::Counter* const c_storage_stale_marks_;
+  obs::Gauge* const g_degraded_;
+  obs::Gauge* const g_cache_overflow_bytes_;
   std::map<std::string, Entry> cache_;
   size_t cache_bytes_ = 0;
   uint64_t use_seq_ = 0;

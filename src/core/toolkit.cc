@@ -8,8 +8,8 @@ namespace rover {
 
 RoverClientNode::RoverClientNode(EventLoop* loop, Host* host, ClientNodeOptions options)
     : loop_(loop), host_(host), options_(std::move(options)) {
-  log_ = std::make_unique<StableLog>(loop_, options_.log_costs, options_.disk_faults);
-  log_->BindMetrics(&metrics_, "stable_log");
+  log_ = std::make_unique<StableLog>(loop_, &metrics_, options_.log_costs,
+                                     options_.disk_faults);
   // Permanent sync failure is fail-stop: the node treats it as a crash.
   log_->SetFailStopHandler([this] { OnStorageFailStop(); });
   Build();
@@ -59,23 +59,19 @@ size_t RoverClientNode::ScrubStorage() {
 }
 
 void RoverClientNode::Build() {
-  transport_ = std::make_unique<TransportManager>(loop_, host_, options_.scheduler);
-  qrpc_client_ =
-      std::make_unique<QrpcClient>(loop_, transport_.get(), log_.get(), options_.qrpc);
-  access_manager_ = std::make_unique<AccessManager>(loop_, transport_.get(),
-                                                    qrpc_client_.get(), options_.access);
+  // One registry per node: every subsystem counts into it under its own
+  // "<subsystem>." prefix from construction on. The registry outlives the
+  // components, so counters stay cumulative across crash-restart rebuilds.
+  transport_ = std::make_unique<TransportManager>(loop_, host_, &metrics_, options_.scheduler);
+  qrpc_client_ = std::make_unique<QrpcClient>(loop_, transport_.get(), log_.get(), &metrics_,
+                                              options_.qrpc);
+  access_manager_ = std::make_unique<AccessManager>(
+      loop_, transport_.get(), qrpc_client_.get(), &metrics_, options_.access);
   if (!options_.auth_token.empty()) {
     transport_->set_auth_token(options_.auth_token);
   }
-  // One registry per node: every subsystem's instruments under its own
-  // "<subsystem>." prefix, one tracer shared by the QRPC client (enqueue/
-  // log/flush/respond events) and the scheduler (transmit events). A
-  // rebuilt component starts at zero, so re-binding after a crash keeps the
-  // registry's counters cumulative.
-  transport_->scheduler()->BindMetrics(&metrics_, "scheduler");
-  transport_->BindMetrics(&metrics_, "transport");
-  qrpc_client_->BindMetrics(&metrics_, "qrpc_client");
-  access_manager_->BindMetrics(&metrics_, "access_manager");
+  // One tracer shared by the QRPC client (enqueue/log/flush/respond events)
+  // and the scheduler (transmit events).
   qrpc_client_->SetTracer(&tracer_);
   transport_->scheduler()->SetTracer(&tracer_);
   if (check_ != nullptr) {
@@ -184,7 +180,8 @@ void RoverServerNode::BuildReplication() {
     ReplicationOptions ropts;
     ropts.peer = repl_primary_peer_;
     ropts.sync_timeout = repl_sync_timeout_;
-    repl_sender_ = std::make_unique<ReplicationSender>(loop_, transport_.get(), ropts);
+    repl_sender_ =
+        std::make_unique<ReplicationSender>(loop_, transport_.get(), &metrics_, ropts);
     repl_sender_->SetResyncProvider([this] {
       ReplicationSender::ResyncImage img;
       img.object_image = rover_server_->store()->Serialize();
@@ -200,18 +197,16 @@ void RoverServerNode::BuildReplication() {
         check_->OnReplicationDegraded(host_name());
       }
     });
-    repl_sender_->BindMetrics(&metrics_, "replication_sender");
     rover_server_->SetReplicationSender(repl_sender_.get());
   } else if (!repl_backup_peer_.empty()) {
     ReplicationOptions ropts;
     ropts.peer = repl_backup_peer_;
     repl_receiver_ = std::make_unique<ReplicationReceiver>(
         loop_, transport_.get(), rover_server_.get(),
-        options_.durable ? &stable_store_ : nullptr, qrpc_server_.get(), ropts);
+        options_.durable ? &stable_store_ : nullptr, qrpc_server_.get(), &metrics_, ropts);
     if (check_ != nullptr) {
       repl_receiver_->SetCheckListener(check_);
     }
-    repl_receiver_->BindMetrics(&metrics_, "replication_receiver");
   }
 }
 
@@ -284,8 +279,9 @@ size_t RoverServerNode::ScrubStorage() {
 }
 
 void RoverServerNode::Build() {
-  transport_ = std::make_unique<TransportManager>(loop_, host_, options_.scheduler);
-  qrpc_server_ = std::make_unique<QrpcServer>(loop_, transport_.get(), options_.qrpc);
+  transport_ = std::make_unique<TransportManager>(loop_, host_, &metrics_, options_.scheduler);
+  qrpc_server_ =
+      std::make_unique<QrpcServer>(loop_, transport_.get(), &metrics_, options_.qrpc);
   rover_server_ = std::make_unique<RoverServer>(
       loop_, transport_.get(), qrpc_server_.get(), options_.rover,
       options_.durable ? &stable_store_ : nullptr);
@@ -294,9 +290,6 @@ void RoverServerNode::Build() {
   // from what stable storage will recover, so discard the incarnation and
   // let resends re-execute against recovered state.
   rover_server_->SetWalFailureHandler([this] { RequestWalFailStop(); });
-  transport_->scheduler()->BindMetrics(&metrics_, "scheduler");
-  qrpc_server_->BindMetrics(&metrics_, "qrpc_server");
-  transport_->BindMetrics(&metrics_, "transport");
   if (check_ != nullptr) {
     qrpc_server_->SetCheckListener(check_);
     rover_server_->SetCheckListener(check_);
@@ -427,8 +420,9 @@ SmtpRelay* Testbed::AddRelay(const std::string& relay_name, const std::string& c
   network_.Connect(client_name, relay_name, std::move(client_link));
   network_.Connect(relay_name, options_.server_name, std::move(server_link));
   Relay relay;
-  relay.transport =
-      std::make_unique<TransportManager>(&loop_, network_.FindHost(relay_name));
+  relay.metrics = std::make_unique<obs::Registry>();
+  relay.transport = std::make_unique<TransportManager>(
+      &loop_, network_.FindHost(relay_name), relay.metrics.get());
   relay.relay = std::make_unique<SmtpRelay>(&loop_, relay.transport.get());
   SmtpRelay* raw = relay.relay.get();
   relays_.emplace(relay_name, std::move(relay));

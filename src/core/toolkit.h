@@ -178,7 +178,8 @@ class RoverServerNode {
   // crash-restarted in response.
   uint64_t storage_fail_stops() const { return storage_fail_stops_; }
 
-  // Unified view over the server's scheduler and qrpc instruments.
+  // Unified view over the server's scheduler, transport, qrpc server, and
+  // replication instruments (the WAL counts apart; see ServerStableStore).
   // Counters are cumulative across crash-restarts.
   obs::Registry* metrics() { return &metrics_; }
 
@@ -296,7 +297,11 @@ class Testbed {
   std::unique_ptr<RoverServerNode> server_;
   std::map<std::string, std::unique_ptr<RoverServerNode>> extra_servers_;
   std::map<std::string, std::unique_ptr<RoverClientNode>> clients_;
+  // Relays are not nodes and have no node registry; each relay's transport
+  // counts into the relay's own registry, declared first so it outlives the
+  // transport's metric handles.
   struct Relay {
+    std::unique_ptr<obs::Registry> metrics;
     std::unique_ptr<TransportManager> transport;
     std::unique_ptr<SmtpRelay> relay;
   };

@@ -1,15 +1,15 @@
-// Unified metrics registry (observability layer). Every subsystem that used
-// to keep an ad-hoc `stats_` struct now owns named instruments in a
-// Registry: monotonic counters, settable gauges, and fixed-bucket
-// histograms. Instruments are created once (create-or-get by name) and the
-// returned handles stay valid for the registry's lifetime, so the hot-path
-// cost of an update is a single pointer-chase and add -- no lookups, no
-// allocation.
+// Unified metrics registry (observability layer): monotonic counters,
+// settable gauges, and fixed-bucket histograms, by name. Instruments are
+// created once (create-or-get by name) and the returned handles stay valid
+// for the registry's lifetime, so the hot-path cost of an update is a
+// single pointer-chase and add -- no lookups, no allocation.
 //
 // Naming scheme: dotted lowercase paths, "<subsystem>.<metric>"
-// (e.g. "scheduler.frames_sent", "stable_log.bytes_flushed"). When several
-// hosts share one registry (Testbed does this), components are bound with a
-// "<host>." prefix: "mobile.scheduler.frames_sent".
+// (e.g. "scheduler.frames_sent", "stable_log.bytes_flushed"). Every
+// toolkit node (RoverClientNode, RoverServerNode) owns one registry, and
+// each of its components takes that registry as a constructor argument
+// and binds its handles there, once, under its fixed subsystem prefix.
+// Nodes never share a registry, so names carry no host prefix.
 //
 // Render() produces the whole registry as deterministic text (one
 // "name value" line per instrument, sorted) or JSON, so benches and
@@ -93,7 +93,8 @@ class Registry {
   const Gauge* FindGauge(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
 
-  // Convenience for tests/adapters: 0 when the counter does not exist.
+  // 0 when the counter does not exist (tests use the checked Count() in
+  // tests/test_metrics.h instead).
   uint64_t CounterValue(const std::string& name) const;
 
   size_t instrument_count() const {

@@ -12,11 +12,36 @@ constexpr uint8_t kLogRecordRequest = 1;
 }  // namespace
 
 QrpcClient::QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* log,
-                       QrpcClientOptions options)
+                       obs::Registry* metrics, QrpcClientOptions options)
     : loop_(loop), transport_(transport), log_(log), options_(options),
       pushback_budget_(options.pushback_budget_capacity,
-                       options.pushback_budget_refill_per_sec) {
-  WireMetrics(&own_metrics_, "qrpc_client");
+                       options.pushback_budget_refill_per_sec),
+      c_calls_(metrics->counter("qrpc_client.calls")),
+      c_completed_(metrics->counter("qrpc_client.completed")),
+      c_recovered_(metrics->counter("qrpc_client.recovered")),
+      c_cancelled_(metrics->counter("qrpc_client.cancelled")),
+      c_deadline_exceeded_(metrics->counter("qrpc_client.deadline_exceeded")),
+      c_admission_rejected_(metrics->counter("qrpc_client.admission_rejected")),
+      c_background_shed_(metrics->counter("qrpc_client.background_shed")),
+      c_pushback_honored_(metrics->counter("qrpc_client.pushback_honored")),
+      c_pushback_exhausted_(metrics->counter("qrpc_client.pushback_budget_exhausted")),
+      c_coalesced_(metrics->counter("qrpc_client.coalesced")),
+      c_recovered_retries_(metrics->counter("qrpc_client.recovered_retries")),
+      c_storage_flush_failures_(metrics->counter("qrpc_client.storage_flush_failures")),
+      c_storage_refused_(metrics->counter("qrpc_client.storage_refused")),
+      c_storage_degraded_entered_(metrics->counter("qrpc_client.storage_degraded_entered")),
+      c_storage_quarantined_calls_(metrics->counter("qrpc_client.storage_quarantined_calls")),
+      c_failovers_(metrics->counter("qrpc_client.failovers")),
+      c_failover_redispatches_(metrics->counter("qrpc_client.failover_redispatches")),
+      g_storage_degraded_(metrics->gauge("qrpc_client.storage_degraded")),
+      g_log_bytes_(metrics->gauge("qrpc_client.log_bytes")),
+      h_rpc_seconds_(metrics->histogram("qrpc_client.rpc_seconds")) {
+  // A client rebuilt after a crash starts out of storage-degraded mode over
+  // the surviving log; the gauges must say so before anything can fire.
+  g_storage_degraded_->Set(0);
+  if (log_ != nullptr) {
+    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+  }
   transport_->SetHandler(MessageType::kResponse,
                          [this](const Message& msg) { HandleResponse(msg); });
   if (!options_.failover_primary.empty() && !options_.failover_backup.empty()) {
@@ -36,77 +61,6 @@ QrpcClient::QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* 
           }
         });
   }
-}
-
-void QrpcClient::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_calls_ = registry->counter(prefix + ".calls");
-  c_completed_ = registry->counter(prefix + ".completed");
-  c_recovered_ = registry->counter(prefix + ".recovered");
-  c_cancelled_ = registry->counter(prefix + ".cancelled");
-  c_deadline_exceeded_ = registry->counter(prefix + ".deadline_exceeded");
-  c_admission_rejected_ = registry->counter(prefix + ".admission_rejected");
-  c_background_shed_ = registry->counter(prefix + ".background_shed");
-  c_pushback_honored_ = registry->counter(prefix + ".pushback_honored");
-  c_pushback_exhausted_ = registry->counter(prefix + ".pushback_budget_exhausted");
-  c_coalesced_ = registry->counter(prefix + ".coalesced");
-  c_recovered_retries_ = registry->counter(prefix + ".recovered_retries");
-  c_storage_flush_failures_ = registry->counter(prefix + ".storage_flush_failures");
-  c_storage_refused_ = registry->counter(prefix + ".storage_refused");
-  c_storage_degraded_entered_ = registry->counter(prefix + ".storage_degraded_entered");
-  c_storage_quarantined_calls_ = registry->counter(prefix + ".storage_quarantined_calls");
-  c_failovers_ = registry->counter(prefix + ".failovers");
-  c_failover_redispatches_ = registry->counter(prefix + ".failover_redispatches");
-  g_storage_degraded_ = registry->gauge(prefix + ".storage_degraded");
-  g_log_bytes_ = registry->gauge(prefix + ".log_bytes");
-  h_rpc_seconds_ = registry->histogram(prefix + ".rpc_seconds");
-}
-
-void QrpcClient::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const QrpcClientStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_calls_->Increment(carried.calls);
-  c_completed_->Increment(carried.completed);
-  c_recovered_->Increment(carried.recovered);
-  c_cancelled_->Increment(carried.cancelled);
-  c_deadline_exceeded_->Increment(carried.deadline_exceeded);
-  c_admission_rejected_->Increment(carried.admission_rejected);
-  c_background_shed_->Increment(carried.background_shed);
-  c_pushback_honored_->Increment(carried.pushback_honored);
-  c_pushback_exhausted_->Increment(carried.pushback_budget_exhausted);
-  c_coalesced_->Increment(carried.coalesced);
-  c_recovered_retries_->Increment(carried.recovered_retries);
-  c_storage_flush_failures_->Increment(carried.storage_flush_failures);
-  c_storage_refused_->Increment(carried.storage_refused);
-  c_storage_degraded_entered_->Increment(carried.storage_degraded_entered);
-  c_storage_quarantined_calls_->Increment(carried.storage_quarantined_calls);
-  c_failovers_->Increment(carried.failovers);
-  c_failover_redispatches_->Increment(carried.failover_redispatches);
-  g_storage_degraded_->Set(storage_degraded_ ? 1 : 0);
-  if (log_ != nullptr) {
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-  }
-}
-
-QrpcClientStats QrpcClient::stats() const {
-  QrpcClientStats s;
-  s.calls = c_calls_->value();
-  s.completed = c_completed_->value();
-  s.recovered = c_recovered_->value();
-  s.cancelled = c_cancelled_->value();
-  s.deadline_exceeded = c_deadline_exceeded_->value();
-  s.admission_rejected = c_admission_rejected_->value();
-  s.background_shed = c_background_shed_->value();
-  s.pushback_honored = c_pushback_honored_->value();
-  s.pushback_budget_exhausted = c_pushback_exhausted_->value();
-  s.coalesced = c_coalesced_->value();
-  s.recovered_retries = c_recovered_retries_->value();
-  s.storage_flush_failures = c_storage_flush_failures_->value();
-  s.storage_refused = c_storage_refused_->value();
-  s.storage_degraded_entered = c_storage_degraded_entered_->value();
-  s.storage_quarantined_calls = c_storage_quarantined_calls_->value();
-  s.failovers = c_failovers_->value();
-  s.failover_redispatches = c_failover_redispatches_->value();
-  return s;
 }
 
 const std::string& QrpcClient::ResolveDest(const std::string& dest) const {
@@ -988,49 +942,21 @@ size_t QrpcClient::RecoverFromLog() {
 }
 
 QrpcServer::QrpcServer(EventLoop* loop, TransportManager* transport,
-                       QrpcServerOptions options)
-    : loop_(loop), transport_(transport), options_(options) {
-  WireMetrics(&own_metrics_, "qrpc_server");
+                       obs::Registry* metrics, QrpcServerOptions options)
+    : loop_(loop), transport_(transport), options_(options),
+      c_requests_(metrics->counter("qrpc_server.requests")),
+      c_duplicates_(metrics->counter("qrpc_server.duplicates")),
+      c_unknown_methods_(metrics->counter("qrpc_server.unknown_methods")),
+      c_auth_failures_(metrics->counter("qrpc_server.auth_failures")),
+      c_duplicate_cache_decode_failures_(
+          metrics->counter("qrpc_server.duplicate_cache_decode_failures")),
+      c_requests_rejected_(metrics->counter("qrpc_server.requests_rejected")),
+      c_requests_rejected_storage_(metrics->counter("qrpc_server.requests_rejected_storage")),
+      g_inflight_requests_(metrics->gauge("qrpc_server.inflight_requests")) {
+  // A server rebuilt after a crash has nothing in flight.
+  g_inflight_requests_->Set(0);
   transport_->SetHandler(MessageType::kRequest,
                          [this](const Message& msg) { HandleRequest(msg); });
-}
-
-void QrpcServer::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_requests_ = registry->counter(prefix + ".requests");
-  c_duplicates_ = registry->counter(prefix + ".duplicates");
-  c_unknown_methods_ = registry->counter(prefix + ".unknown_methods");
-  c_auth_failures_ = registry->counter(prefix + ".auth_failures");
-  c_duplicate_cache_decode_failures_ =
-      registry->counter(prefix + ".duplicate_cache_decode_failures");
-  c_requests_rejected_ = registry->counter(prefix + ".requests_rejected");
-  c_requests_rejected_storage_ =
-      registry->counter(prefix + ".requests_rejected_storage");
-  g_inflight_requests_ = registry->gauge(prefix + ".inflight_requests");
-}
-
-void QrpcServer::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const QrpcServerStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_requests_->Increment(carried.requests);
-  c_duplicates_->Increment(carried.duplicates);
-  c_unknown_methods_->Increment(carried.unknown_methods);
-  c_auth_failures_->Increment(carried.auth_failures);
-  c_duplicate_cache_decode_failures_->Increment(carried.duplicate_cache_decode_failures);
-  c_requests_rejected_->Increment(carried.requests_rejected);
-  c_requests_rejected_storage_->Increment(carried.requests_rejected_storage);
-  g_inflight_requests_->Set(static_cast<int64_t>(in_progress_.size()));
-}
-
-QrpcServerStats QrpcServer::stats() const {
-  QrpcServerStats s;
-  s.requests = c_requests_->value();
-  s.duplicates = c_duplicates_->value();
-  s.unknown_methods = c_unknown_methods_->value();
-  s.auth_failures = c_auth_failures_->value();
-  s.duplicate_cache_decode_failures = c_duplicate_cache_decode_failures_->value();
-  s.requests_rejected = c_requests_rejected_->value();
-  s.requests_rejected_storage = c_requests_rejected_storage_->value();
-  return s;
 }
 
 bool QrpcServer::CorruptCachedResponseForTest(const std::string& client, uint64_t rpc_id) {

@@ -114,27 +114,6 @@ struct QrpcClientOptions {
   std::string failover_backup;
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
-struct QrpcClientStats {
-  uint64_t calls = 0;
-  uint64_t completed = 0;
-  uint64_t recovered = 0;  // re-sent after crash recovery
-  uint64_t cancelled = 0;  // cancelled by the application
-  uint64_t deadline_exceeded = 0;  // per-call deadline fired first
-  uint64_t admission_rejected = 0;  // refused at Call() by the budgets
-  uint64_t background_shed = 0;     // outstanding background calls shed
-  uint64_t pushback_honored = 0;    // re-dispatched after server retry-after
-  uint64_t pushback_budget_exhausted = 0;  // pushback surfaced as an error
-  uint64_t coalesced = 0;  // withdrawn pre-wire, answered by a successor
-  uint64_t recovered_retries = 0;  // recovered calls re-queued after refusal
-  uint64_t storage_flush_failures = 0;  // calls failed by a failed flush
-  uint64_t storage_refused = 0;  // logged calls refused: device full
-  uint64_t storage_degraded_entered = 0;  // times storage-degraded mode began
-  uint64_t storage_quarantined_calls = 0;  // calls failed by record quarantine
-  uint64_t failovers = 0;  // times the primary->backup route engaged
-  uint64_t failover_redispatches = 0;  // in-flight calls re-sent to the backup
-};
-
 // Handle returned by Call(). Both promises resolve on the event loop.
 struct QrpcCall {
   uint64_t rpc_id = 0;
@@ -148,8 +127,9 @@ struct QrpcCall {
 
 class QrpcClient {
  public:
+  // Counts into `metrics` under "qrpc_client.".
   QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* log,
-             QrpcClientOptions options = {});
+             obs::Registry* metrics, QrpcClientOptions options = {});
 
   // Issues a non-blocking call of `method` at host `dest`.
   QrpcCall Call(const std::string& dest, const std::string& method, RpcArgs args,
@@ -184,10 +164,6 @@ class QrpcClient {
   // longer exists. Returns how many calls were failed.
   size_t FailQuarantinedRecords(const std::vector<uint64_t>& log_record_ids);
 
-  // Re-homes the client's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "qrpc_client");
-
   // Records the per-RPC lifecycle span (enqueued/logged/flushed/responded;
   // the network scheduler contributes transmitted events).
   void SetTracer(obs::RpcTracer* tracer) { tracer_ = tracer; }
@@ -198,9 +174,6 @@ class QrpcClient {
 
   // Rpc ids of every call awaiting a response.
   std::vector<uint64_t> OutstandingIds() const;
-
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  QrpcClientStats stats() const;
 
   // The rpc-id counter is part of the client's durable identity: a host
   // that restarts under the same name MUST resume past its previously
@@ -326,7 +299,6 @@ class QrpcClient {
   // engaged and `dest` is the (logical) primary, otherwise `dest` itself.
   const std::string& ResolveDest(const std::string& dest) const;
   void MaybeTruncateLog();
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
   void Trace(uint64_t rpc_id, obs::RpcEvent event);
   const std::string& self() const { return transport_->local_host(); }
 
@@ -360,30 +332,29 @@ class QrpcClient {
   // already in the loop.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
   obs::RpcTracer* tracer_ = nullptr;
   obs::CheckListener* check_ = nullptr;
-  obs::Counter* c_calls_ = nullptr;
-  obs::Counter* c_completed_ = nullptr;
-  obs::Counter* c_recovered_ = nullptr;
-  obs::Counter* c_cancelled_ = nullptr;
-  obs::Counter* c_deadline_exceeded_ = nullptr;
-  obs::Counter* c_admission_rejected_ = nullptr;
-  obs::Counter* c_background_shed_ = nullptr;
-  obs::Counter* c_pushback_honored_ = nullptr;
-  obs::Counter* c_pushback_exhausted_ = nullptr;
-  obs::Counter* c_coalesced_ = nullptr;
-  obs::Counter* c_recovered_retries_ = nullptr;
-  obs::Counter* c_storage_flush_failures_ = nullptr;
-  obs::Counter* c_storage_refused_ = nullptr;
-  obs::Counter* c_storage_degraded_entered_ = nullptr;
-  obs::Counter* c_storage_quarantined_calls_ = nullptr;
-  obs::Counter* c_failovers_ = nullptr;
-  obs::Counter* c_failover_redispatches_ = nullptr;
-  obs::Gauge* g_storage_degraded_ = nullptr;
   bool storage_degraded_ = false;
-  obs::Gauge* g_log_bytes_ = nullptr;  // stable-log byte budget occupancy
-  obs::Histogram* h_rpc_seconds_ = nullptr;  // Call() -> response matched
+  obs::Counter* const c_calls_;
+  obs::Counter* const c_completed_;
+  obs::Counter* const c_recovered_;  // re-sent after crash recovery
+  obs::Counter* const c_cancelled_;  // cancelled by the application
+  obs::Counter* const c_deadline_exceeded_;  // per-call deadline fired first
+  obs::Counter* const c_admission_rejected_;  // refused at Call() by the budgets
+  obs::Counter* const c_background_shed_;     // outstanding background calls shed
+  obs::Counter* const c_pushback_honored_;    // re-dispatched after server retry-after
+  obs::Counter* const c_pushback_exhausted_;  // pushback surfaced as an error
+  obs::Counter* const c_coalesced_;  // withdrawn pre-wire, answered by a successor
+  obs::Counter* const c_recovered_retries_;  // recovered calls re-queued after refusal
+  obs::Counter* const c_storage_flush_failures_;  // calls failed by a failed flush
+  obs::Counter* const c_storage_refused_;  // logged calls refused: device full
+  obs::Counter* const c_storage_degraded_entered_;  // times storage-degraded mode began
+  obs::Counter* const c_storage_quarantined_calls_;  // calls failed by record quarantine
+  obs::Counter* const c_failovers_;  // times the primary->backup route engaged
+  obs::Counter* const c_failover_redispatches_;  // in-flight calls re-sent to the backup
+  obs::Gauge* const g_storage_degraded_;
+  obs::Gauge* const g_log_bytes_;  // stable-log byte budget occupancy
+  obs::Histogram* const h_rpc_seconds_;  // Call() -> response matched
 };
 
 // One duplicate-response cache entry, as compaction snapshots, recovery
@@ -413,19 +384,6 @@ struct QrpcServerOptions {
   Duration pushback_retry_after = Duration::Millis(500);
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
-struct QrpcServerStats {
-  uint64_t requests = 0;
-  uint64_t duplicates = 0;
-  uint64_t unknown_methods = 0;
-  uint64_t auth_failures = 0;
-  // Cached duplicate responses that failed to decode; answered kDataLoss
-  // instead of silently replying OK with an empty body.
-  uint64_t duplicate_cache_decode_failures = 0;
-  uint64_t requests_rejected = 0;  // refused with kUnavailable + retry-after
-  uint64_t requests_rejected_storage = 0;  // refused while WAL space recovers
-};
-
 class QrpcServer {
  public:
   // Handlers respond through the Responder, immediately or later.
@@ -434,7 +392,9 @@ class QrpcServer {
       std::function<void(const RpcRequestBody& request, const Message& envelope,
                          Responder respond)>;
 
-  QrpcServer(EventLoop* loop, TransportManager* transport, QrpcServerOptions options = {});
+  // Counts into `metrics` under "qrpc_server.".
+  QrpcServer(EventLoop* loop, TransportManager* transport, obs::Registry* metrics,
+             QrpcServerOptions options = {});
 
   void RegisterHandler(const std::string& method, Handler handler);
   // Invoked for methods with no registered handler (else kUnimplemented).
@@ -475,13 +435,6 @@ class QrpcServer {
   // invariant checker. Null disables (the default).
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
 
-  // Re-homes the server's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "qrpc_server");
-
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  QrpcServerStats stats() const;
-
   // Damages the cached response for (client, rpc_id) in place, as stable-
   // storage corruption would. Returns false when no entry exists. Test-only.
   bool CorruptCachedResponseForTest(const std::string& client, uint64_t rpc_id);
@@ -517,7 +470,6 @@ class QrpcServer {
   void HandleRequest(const Message& msg);
   void SendResponse(const std::string& dst, uint64_t rpc_id, Priority priority,
                     const std::string& reply_via, RpcResponseBody body);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
   void EvictDupCacheOverflow();
   const std::string& self() const { return transport_->local_host(); }
 
@@ -532,16 +484,17 @@ class QrpcServer {
   // weak_ptr to this token so a server destroyed by a simulated crash
   // cannot be touched by callbacks that outlive it.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
   obs::CheckListener* check_ = nullptr;
-  obs::Counter* c_requests_ = nullptr;
-  obs::Counter* c_duplicates_ = nullptr;
-  obs::Counter* c_unknown_methods_ = nullptr;
-  obs::Counter* c_auth_failures_ = nullptr;
-  obs::Counter* c_duplicate_cache_decode_failures_ = nullptr;
-  obs::Counter* c_requests_rejected_ = nullptr;
-  obs::Counter* c_requests_rejected_storage_ = nullptr;
-  obs::Gauge* g_inflight_requests_ = nullptr;
+  obs::Counter* const c_requests_;
+  obs::Counter* const c_duplicates_;
+  obs::Counter* const c_unknown_methods_;
+  obs::Counter* const c_auth_failures_;
+  // Cached duplicate responses that failed to decode; answered kDataLoss
+  // instead of silently replying OK with an empty body.
+  obs::Counter* const c_duplicate_cache_decode_failures_;
+  obs::Counter* const c_requests_rejected_;  // refused with kUnavailable + retry-after
+  obs::Counter* const c_requests_rejected_storage_;  // refused while WAL space recovers
+  obs::Gauge* const g_inflight_requests_;
   bool storage_degraded_ = false;
   std::map<std::string, Handler> handlers_;
   Handler default_handler_;

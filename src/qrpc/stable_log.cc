@@ -15,58 +15,30 @@ namespace {
 constexpr size_t kRecordFraming = 16;  // id + length + crc framing bytes
 }  // namespace
 
-StableLog::StableLog(EventLoop* loop, StableLogCostModel cost_model,
+StableLog::StableLog(EventLoop* loop, obs::Registry* metrics, StableLogCostModel cost_model,
                      DiskFaultOptions disk_faults)
     : loop_(loop),
       cost_model_(cost_model),
       device_(disk_faults),
       flush_backoff_(cost_model.flush_retry_base, cost_model.flush_retry_max,
-                     disk_faults.seed ^ 0xf1005bacc0ffULL) {
-  WireMetrics(&own_metrics_, "stable_log");
-}
-
-void StableLog::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_appends_ = registry->counter(prefix + ".appends");
-  c_flushes_ = registry->counter(prefix + ".flushes");
-  c_bytes_flushed_ = registry->counter(prefix + ".bytes_flushed");
-  c_flush_time_micros_ = registry->counter(prefix + ".flush_time_micros");
-  c_raw_bytes_appended_ = registry->counter(prefix + ".raw_bytes_appended");
-  c_stored_bytes_appended_ = registry->counter(prefix + ".stored_bytes_appended");
-  c_records_compressed_ = registry->counter(prefix + ".records_compressed");
-  c_flush_transient_errors_ = registry->counter(prefix + ".flush_transient_errors");
-  c_flush_retries_ = registry->counter(prefix + ".flush_retries");
-  c_flush_failures_ = registry->counter(prefix + ".flush_failures");
-  c_flush_enospc_ = registry->counter(prefix + ".flush_enospc");
-  c_flush_sync_failures_ = registry->counter(prefix + ".flush_sync_failures");
-  c_records_quarantined_ = registry->counter(prefix + ".records_quarantined");
-  c_torn_tail_dropped_ = registry->counter(prefix + ".torn_tail_records_dropped");
-  g_compression_ratio_pct_ = registry->gauge(prefix + ".compression_ratio_pct");
-  g_device_used_bytes_ = registry->gauge(prefix + ".device_used_bytes");
-  h_flush_seconds_ = registry->histogram(prefix + ".flush_seconds");
-}
-
-void StableLog::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const StableLogStats carried = stats();
-  const uint64_t raw_bytes = c_raw_bytes_appended_->value();
-  const uint64_t stored_bytes = c_stored_bytes_appended_->value();
-  const uint64_t compressed = c_records_compressed_->value();
-  const int64_t ratio = g_compression_ratio_pct_->value();
-  WireMetrics(registry, prefix);
-  c_appends_->Increment(carried.appends);
-  c_flushes_->Increment(carried.flushes);
-  c_bytes_flushed_->Increment(carried.bytes_flushed);
-  c_flush_time_micros_->Increment(static_cast<uint64_t>(carried.flush_time_total.micros()));
-  c_raw_bytes_appended_->Increment(raw_bytes);
-  c_stored_bytes_appended_->Increment(stored_bytes);
-  c_records_compressed_->Increment(compressed);
-  c_flush_transient_errors_->Increment(carried.flush_transient_errors);
-  c_flush_retries_->Increment(carried.flush_retries);
-  c_flush_failures_->Increment(carried.flush_failures);
-  c_flush_enospc_->Increment(carried.flush_enospc);
-  c_flush_sync_failures_->Increment(carried.flush_sync_failures);
-  c_records_quarantined_->Increment(carried.records_quarantined);
-  c_torn_tail_dropped_->Increment(carried.torn_tail_records_dropped);
-  g_compression_ratio_pct_->Set(ratio);
+                     disk_faults.seed ^ 0xf1005bacc0ffULL),
+      c_appends_(metrics->counter("stable_log.appends")),
+      c_flushes_(metrics->counter("stable_log.flushes")),
+      c_bytes_flushed_(metrics->counter("stable_log.bytes_flushed")),
+      c_flush_time_micros_(metrics->counter("stable_log.flush_time_micros")),
+      c_raw_bytes_appended_(metrics->counter("stable_log.raw_bytes_appended")),
+      c_stored_bytes_appended_(metrics->counter("stable_log.stored_bytes_appended")),
+      c_records_compressed_(metrics->counter("stable_log.records_compressed")),
+      c_flush_transient_errors_(metrics->counter("stable_log.flush_transient_errors")),
+      c_flush_retries_(metrics->counter("stable_log.flush_retries")),
+      c_flush_failures_(metrics->counter("stable_log.flush_failures")),
+      c_flush_enospc_(metrics->counter("stable_log.flush_enospc")),
+      c_flush_sync_failures_(metrics->counter("stable_log.flush_sync_failures")),
+      c_records_quarantined_(metrics->counter("stable_log.records_quarantined")),
+      c_torn_tail_dropped_(metrics->counter("stable_log.torn_tail_records_dropped")),
+      g_compression_ratio_pct_(metrics->gauge("stable_log.compression_ratio_pct")),
+      g_device_used_bytes_(metrics->gauge("stable_log.device_used_bytes")),
+      h_flush_seconds_(metrics->histogram("stable_log.flush_seconds")) {
   g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
 }
 

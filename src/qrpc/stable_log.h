@@ -63,7 +63,7 @@ struct StableLogCostModel {
   }
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
+// Snapshot assembled from the registry counters (see stats()).
 struct StableLogStats {
   uint64_t appends = 0;
   uint64_t flushes = 0;
@@ -113,7 +113,8 @@ class StableLog {
   // kResourceExhausted: device full, kDataLoss: permanent sync failure).
   using FlushCallback = std::function<void(const Status&)>;
 
-  StableLog(EventLoop* loop, StableLogCostModel cost_model = {},
+  // Counts into `metrics` under "stable_log.".
+  StableLog(EventLoop* loop, obs::Registry* metrics, StableLogCostModel cost_model = {},
             DiskFaultOptions disk_faults = {});
 
   // Appends a record to the in-memory tail (not yet durable). Returns its
@@ -213,11 +214,8 @@ class StableLog {
   StableDevice* device() { return &device_; }
   const StableDevice* device() const { return &device_; }
 
-  // Re-homes the log's instruments into `registry` under "<prefix>." names,
-  // carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "stable_log");
-
-  // Snapshot adapter over the registry counters (kept for existing callers).
+  // Snapshot of the registry counters. Tests and benches read the registry
+  // by name; this remains for the benchmark harness.
   StableLogStats stats() const;
   const StableLogCostModel& cost_model() const { return cost_model_; }
 
@@ -238,7 +236,6 @@ class StableLog {
   void ScheduleAttempt(std::shared_ptr<WriteJob> job);
   void CompleteWrite(const std::shared_ptr<WriteJob>& job, const Status& status);
   void MarkDurable(const WriteJob& job);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
   void ChargeWrite(size_t bytes, Duration cost);
   size_t PendingStoredBytes() const;
 
@@ -261,24 +258,23 @@ class StableLog {
   // before the crash notice the stamp changed and do nothing.
   uint64_t crash_generation_ = 0;
 
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_appends_ = nullptr;
-  obs::Counter* c_flushes_ = nullptr;
-  obs::Counter* c_bytes_flushed_ = nullptr;
-  obs::Counter* c_flush_time_micros_ = nullptr;
-  obs::Counter* c_raw_bytes_appended_ = nullptr;
-  obs::Counter* c_stored_bytes_appended_ = nullptr;
-  obs::Counter* c_records_compressed_ = nullptr;
-  obs::Counter* c_flush_transient_errors_ = nullptr;
-  obs::Counter* c_flush_retries_ = nullptr;
-  obs::Counter* c_flush_failures_ = nullptr;
-  obs::Counter* c_flush_enospc_ = nullptr;
-  obs::Counter* c_flush_sync_failures_ = nullptr;
-  obs::Counter* c_records_quarantined_ = nullptr;
-  obs::Counter* c_torn_tail_dropped_ = nullptr;
-  obs::Gauge* g_compression_ratio_pct_ = nullptr;
-  obs::Gauge* g_device_used_bytes_ = nullptr;
-  obs::Histogram* h_flush_seconds_ = nullptr;
+  obs::Counter* const c_appends_;
+  obs::Counter* const c_flushes_;
+  obs::Counter* const c_bytes_flushed_;
+  obs::Counter* const c_flush_time_micros_;
+  obs::Counter* const c_raw_bytes_appended_;     // payload bytes before compression
+  obs::Counter* const c_stored_bytes_appended_;  // bytes the device actually holds
+  obs::Counter* const c_records_compressed_;
+  obs::Counter* const c_flush_transient_errors_;  // device write errors observed
+  obs::Counter* const c_flush_retries_;           // retry attempts scheduled
+  obs::Counter* const c_flush_failures_;          // flushes that terminally failed
+  obs::Counter* const c_flush_enospc_;            // flushes refused for capacity
+  obs::Counter* const c_flush_sync_failures_;     // flushes failed by a dead sync
+  obs::Counter* const c_records_quarantined_;     // interior-corrupt records removed
+  obs::Counter* const c_torn_tail_dropped_;
+  obs::Gauge* const g_compression_ratio_pct_;
+  obs::Gauge* const g_device_used_bytes_;
+  obs::Histogram* const h_flush_seconds_;
 };
 
 }  // namespace rover

@@ -60,12 +60,6 @@ class Host {
   void SetReceiver(Receiver receiver, const void* owner = nullptr);
   void ClearReceiver(const void* owner);
 
-  // Fires whenever a link is attached to this host or administratively
-  // forced down. Kept for callers that genuinely care about every change;
-  // the transport's scheduler uses per-peer observers instead.
-  void SetLinkChangeListener(std::function<void()> listener, const void* owner = nullptr);
-  void ClearLinkChangeListener(const void* owner);
-
   // Per-peer link-state observers: fire when a link to `peer` is attached
   // or forced down. This is how N parked queues avoid N wakeup scans on
   // every unrelated link event. `owner` scopes removal.
@@ -95,8 +89,6 @@ class Host {
   std::unordered_map<std::string, PeerEntry> peers_;
   Receiver receiver_;
   const void* receiver_owner_ = nullptr;
-  std::function<void()> link_change_listener_;
-  const void* listener_owner_ = nullptr;
 };
 
 class Network {

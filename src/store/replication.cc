@@ -62,23 +62,21 @@ Bytes EncodeSnapshotMessage(const ReplicationSender::ResyncImage& image) {
 }  // namespace
 
 ReplicationSender::ReplicationSender(EventLoop* loop, TransportManager* transport,
-                                     ReplicationOptions options)
-    : loop_(loop), transport_(transport), options_(std::move(options)) {
+                                     obs::Registry* metrics, ReplicationOptions options)
+    : loop_(loop), transport_(transport), options_(std::move(options)),
+      c_shipped_(metrics->counter("replication_sender.txns_shipped")),
+      c_acks_(metrics->counter("replication_sender.acks_received")),
+      c_resyncs_(metrics->counter("replication_sender.resyncs_served")),
+      c_degrades_(metrics->counter("replication_sender.sync_degrades")),
+      g_lag_(metrics->gauge("replication_sender.lag_records")),
+      g_watermark_(metrics->gauge("replication_sender.acked_watermark")) {
+  UpdateLagGauge();
   transport_->SetHandler(MessageType::kControl,
                          [this](const Message& msg) { HandleControl(msg); });
 }
 
 ReplicationSender::~ReplicationSender() {
   transport_->SetHandler(MessageType::kControl, nullptr);
-}
-
-void ReplicationSender::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_shipped_ = registry->counter(prefix + ".txns_shipped");
-  c_acks_ = registry->counter(prefix + ".acks_received");
-  c_resyncs_ = registry->counter(prefix + ".resyncs_served");
-  c_degrades_ = registry->counter(prefix + ".sync_degrades");
-  g_lag_ = registry->gauge(prefix + ".lag_records");
-  g_watermark_ = registry->gauge(prefix + ".acked_watermark");
 }
 
 void ReplicationSender::Ship(uint64_t seq, uint64_t epoch, const ServerTransaction& txn) {
@@ -92,9 +90,7 @@ void ReplicationSender::Ship(uint64_t seq, uint64_t epoch, const ServerTransacti
   last_shipped_ = std::max(last_shipped_, seq);
   ++stats_.transactions_shipped;
   stats_.bytes_shipped += bytes;
-  if (c_shipped_ != nullptr) {
-    c_shipped_->Increment();
-  }
+  c_shipped_->Increment();
   UpdateLagGauge();
 }
 
@@ -127,9 +123,7 @@ void ReplicationSender::HandleControl(const Message& msg) {
 
 void ReplicationSender::AckWatermark(uint64_t watermark) {
   ++stats_.acks_received;
-  if (c_acks_ != nullptr) {
-    c_acks_->Increment();
-  }
+  c_acks_->Increment();
   if (watermark <= acked_watermark_) {
     return;
   }
@@ -158,9 +152,7 @@ void ReplicationSender::ServeResync() {
   msg.payload = EncodeSnapshotMessage(image);
   transport_->Send(std::move(msg));
   ++stats_.resyncs_served;
-  if (c_resyncs_ != nullptr) {
-    c_resyncs_->Increment();
-  }
+  c_resyncs_->Increment();
 }
 
 void ReplicationSender::ArmDegradeTimer() {
@@ -184,9 +176,7 @@ void ReplicationSender::ArmDegradeTimer() {
       // the checker is told about.
       degraded_ = true;
       ++stats_.sync_degrades;
-      if (c_degrades_ != nullptr) {
-        c_degrades_->Increment();
-      }
+      c_degrades_->Increment();
       ROVER_LOG(Info) << "replication to " << options_.peer
                       << " degraded to async (watermark " << acked_watermark_
                       << ", shipped " << last_shipped_ << ")";
@@ -205,20 +195,25 @@ void ReplicationSender::ArmDegradeTimer() {
 }
 
 void ReplicationSender::UpdateLagGauge() {
-  if (g_lag_ != nullptr) {
-    g_lag_->Set(static_cast<int64_t>(last_shipped_ - acked_watermark_));
-  }
-  if (g_watermark_ != nullptr) {
-    g_watermark_->Set(static_cast<int64_t>(acked_watermark_));
-  }
+  g_lag_->Set(static_cast<int64_t>(last_shipped_ - acked_watermark_));
+  g_watermark_->Set(static_cast<int64_t>(acked_watermark_));
 }
 
 ReplicationReceiver::ReplicationReceiver(EventLoop* loop, TransportManager* transport,
                                          RoverServer* server,
                                          ServerStableStore* stable_store,
-                                         QrpcServer* qrpc, ReplicationOptions options)
+                                         QrpcServer* qrpc, obs::Registry* metrics,
+                                         ReplicationOptions options)
     : loop_(loop), transport_(transport), server_(server),
-      stable_store_(stable_store), qrpc_(qrpc), options_(std::move(options)) {
+      stable_store_(stable_store), qrpc_(qrpc), options_(std::move(options)),
+      c_applied_(metrics->counter("replication_receiver.txns_applied")),
+      c_duplicates_(metrics->counter("replication_receiver.duplicates_ignored")),
+      c_acks_(metrics->counter("replication_receiver.acks_sent")),
+      c_resyncs_(metrics->counter("replication_receiver.resyncs_requested")),
+      c_snapshots_(metrics->counter("replication_receiver.snapshots_applied")),
+      c_promotions_(metrics->counter("replication_receiver.promotions")),
+      g_last_applied_(metrics->gauge("replication_receiver.last_applied")) {
+  g_last_applied_->Set(0);
   transport_->SetHandler(MessageType::kControl,
                          [this](const Message& msg) { HandleControl(msg); });
   // Bootstrap: pull whatever state the primary already has. Also heals the
@@ -228,15 +223,6 @@ ReplicationReceiver::ReplicationReceiver(EventLoop* loop, TransportManager* tran
 
 ReplicationReceiver::~ReplicationReceiver() {
   transport_->SetHandler(MessageType::kControl, nullptr);
-}
-
-void ReplicationReceiver::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_applied_ = registry->counter(prefix + ".txns_applied");
-  c_acks_ = registry->counter(prefix + ".acks_sent");
-  c_resyncs_ = registry->counter(prefix + ".resyncs_requested");
-  c_snapshots_ = registry->counter(prefix + ".snapshots_applied");
-  c_promotions_ = registry->counter(prefix + ".promotions");
-  g_last_applied_ = registry->gauge(prefix + ".last_applied");
 }
 
 uint64_t ReplicationReceiver::Promote() {
@@ -257,10 +243,7 @@ uint64_t ReplicationReceiver::Promote() {
   }
   qrpc_->set_epoch(epoch);
   buffered_.clear();
-  ++stats_.promotions;
-  if (c_promotions_ != nullptr) {
-    c_promotions_->Increment();
-  }
+  c_promotions_->Increment();
   if (check_ != nullptr) {
     std::vector<std::pair<std::string, uint64_t>> replicated;
     for (const auto& r : qrpc_->CachedResponses()) {
@@ -344,7 +327,7 @@ void ReplicationReceiver::HandleTransaction(uint64_t seq, uint64_t epoch,
   }
   primary_epoch_seen_ = std::max(primary_epoch_seen_, epoch);
   if (seq <= last_applied_) {
-    ++stats_.duplicates_ignored;
+    c_duplicates_->Increment();
     SendAck();  // re-ack so a primary that missed it can unblock releases
     return;
   }
@@ -368,13 +351,8 @@ void ReplicationReceiver::DrainBuffered() {
     ServerTransaction txn = std::move(it->second.second);
     buffered_.erase(it);
     last_applied_ = seq;
-    ++stats_.transactions_applied;
-    if (c_applied_ != nullptr) {
-      c_applied_->Increment();
-    }
-    if (g_last_applied_ != nullptr) {
-      g_last_applied_->Set(static_cast<int64_t>(last_applied_));
-    }
+    c_applied_->Increment();
+    g_last_applied_->Set(static_cast<int64_t>(last_applied_));
     server_->ApplyReplicatedTransaction(
         txn, [this, seq, weak = std::weak_ptr<char>(alive_)](const Status& durable) {
           if (weak.expired() || !durable.ok()) {
@@ -398,13 +376,8 @@ void ReplicationReceiver::HandleSnapshot(uint64_t baseline_seq, uint64_t epoch,
     return;  // stale snapshot from before what we already applied
   }
   last_applied_ = baseline_seq;
-  ++stats_.snapshots_applied;
-  if (c_snapshots_ != nullptr) {
-    c_snapshots_->Increment();
-  }
-  if (g_last_applied_ != nullptr) {
-    g_last_applied_->Set(static_cast<int64_t>(last_applied_));
-  }
+  c_snapshots_->Increment();
+  g_last_applied_->Set(static_cast<int64_t>(last_applied_));
   server_->AdoptReplicatedSnapshot(
       std::move(object_image), std::move(responses),
       [this, baseline_seq, weak = std::weak_ptr<char>(alive_)] {
@@ -425,10 +398,7 @@ void ReplicationReceiver::RequestResync() {
     return;
   }
   resync_pending_ = true;
-  ++stats_.resyncs_requested;
-  if (c_resyncs_ != nullptr) {
-    c_resyncs_->Increment();
-  }
+  c_resyncs_->Increment();
   Message msg;
   msg.header.type = MessageType::kControl;
   msg.header.priority = Priority::kDefault;
@@ -457,10 +427,7 @@ void ReplicationReceiver::SendAck() {
   msg.header.dst = options_.peer;
   msg.payload = EncodeAckMessage(last_durable_);
   transport_->Send(std::move(msg));
-  ++stats_.acks_sent;
-  if (c_acks_ != nullptr) {
-    c_acks_->Increment();
-  }
+  c_acks_->Increment();
 }
 
 }  // namespace rover

@@ -62,6 +62,9 @@ struct ReplicationOptions {
   Duration sync_timeout = Duration::Seconds(5);
 };
 
+// Kept beside the replication_sender.* registry counters: the benchmark
+// harness and bench_failover read transactions_shipped and bytes_shipped
+// from it, and bytes_shipped has no registry counter.
 struct ReplicationSenderStats {
   uint64_t transactions_shipped = 0;
   uint64_t bytes_shipped = 0;
@@ -82,7 +85,8 @@ class ReplicationSender {
     uint64_t epoch = 1;
   };
 
-  ReplicationSender(EventLoop* loop, TransportManager* transport,
+  // Counts into `metrics` under "replication_sender.".
+  ReplicationSender(EventLoop* loop, TransportManager* transport, obs::Registry* metrics,
                     ReplicationOptions options);
   ~ReplicationSender();
 
@@ -106,8 +110,6 @@ class ReplicationSender {
   void SetDegradeListener(std::function<void()> listener) {
     degrade_listener_ = std::move(listener);
   }
-
-  void BindMetrics(obs::Registry* registry, const std::string& prefix);
 
   uint64_t last_shipped() const { return last_shipped_; }
   uint64_t acked_watermark() const { return acked_watermark_; }
@@ -141,22 +143,13 @@ class ReplicationSender {
   std::deque<GatedRelease> gated_;  // seq-ordered (commit order)
   bool degrade_timer_armed_ = false;
   ReplicationSenderStats stats_;
-  obs::Counter* c_shipped_ = nullptr;
-  obs::Counter* c_acks_ = nullptr;
-  obs::Counter* c_resyncs_ = nullptr;
-  obs::Counter* c_degrades_ = nullptr;
-  obs::Gauge* g_lag_ = nullptr;
-  obs::Gauge* g_watermark_ = nullptr;
+  obs::Counter* const c_shipped_;
+  obs::Counter* const c_acks_;
+  obs::Counter* const c_resyncs_;
+  obs::Counter* const c_degrades_;
+  obs::Gauge* const g_lag_;
+  obs::Gauge* const g_watermark_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('r');
-};
-
-struct ReplicationReceiverStats {
-  uint64_t transactions_applied = 0;
-  uint64_t duplicates_ignored = 0;
-  uint64_t acks_sent = 0;
-  uint64_t resyncs_requested = 0;
-  uint64_t snapshots_applied = 0;
-  uint64_t promotions = 0;
 };
 
 // Backup side: applies shipped transactions in order to the local server,
@@ -164,9 +157,11 @@ struct ReplicationReceiverStats {
 // the promotion (epoch fence) when the primary dies.
 class ReplicationReceiver {
  public:
+  // Counts into `metrics` under "replication_receiver.". Construction
+  // already requests the bootstrap resync.
   ReplicationReceiver(EventLoop* loop, TransportManager* transport,
                       RoverServer* server, ServerStableStore* stable_store,
-                      QrpcServer* qrpc, ReplicationOptions options);
+                      QrpcServer* qrpc, obs::Registry* metrics, ReplicationOptions options);
   ~ReplicationReceiver();
 
   // Fences the dead primary and takes over: bumps the local durable epoch
@@ -175,12 +170,10 @@ class ReplicationReceiver {
   uint64_t Promote();
 
   void SetCheckListener(obs::CheckListener* listener) { check_ = listener; }
-  void BindMetrics(obs::Registry* registry, const std::string& prefix);
 
   bool promoted() const { return promoted_; }
   uint64_t last_applied() const { return last_applied_; }
   uint64_t primary_epoch_seen() const { return primary_epoch_seen_; }
-  const ReplicationReceiverStats& stats() const { return stats_; }
 
  private:
   void HandleControl(const Message& msg);
@@ -204,13 +197,13 @@ class ReplicationReceiver {
   bool promoted_ = false;
   bool resync_pending_ = false;
   std::map<uint64_t, std::pair<uint64_t, ServerTransaction>> buffered_;  // seq -> (epoch, txn)
-  ReplicationReceiverStats stats_;
-  obs::Counter* c_applied_ = nullptr;
-  obs::Counter* c_acks_ = nullptr;
-  obs::Counter* c_resyncs_ = nullptr;
-  obs::Counter* c_snapshots_ = nullptr;
-  obs::Counter* c_promotions_ = nullptr;
-  obs::Gauge* g_last_applied_ = nullptr;
+  obs::Counter* const c_applied_;
+  obs::Counter* const c_duplicates_;  // already-applied transactions re-acked
+  obs::Counter* const c_acks_;
+  obs::Counter* const c_resyncs_;
+  obs::Counter* const c_snapshots_;
+  obs::Counter* const c_promotions_;
+  obs::Gauge* const g_last_applied_;
   std::shared_ptr<char> alive_ = std::make_shared<char>('r');
 };
 

@@ -442,7 +442,8 @@ void RoverServer::HandleImport(const RpcRequestBody& req, const Message& envelop
     return;
   }
   if (req.args.size() == 1) {
-    // Legacy form: the bare encoded descriptor, no wrapper.
+    // Full fetch (no cached image, or a failed delta): the bare encoded
+    // descriptor, no wrapper.
     respond(ValueResponse(descriptor->Encode()));
     return;
   }

@@ -69,7 +69,7 @@ Result<ServerTransaction> ServerTransaction::Decode(const Buffer& data) {
 ServerStableStore::ServerStableStore(EventLoop* loop, ServerStoreOptions options)
     : loop_(loop),
       options_(options),
-      wal_(loop, options.wal_costs, options.wal_disk_faults) {}
+      wal_(loop, &wal_metrics_, options.wal_costs, options.wal_disk_faults) {}
 
 uint64_t ServerStableStore::LogTransaction(const ServerTransaction& txn) {
   ++stats_.transactions_logged;

@@ -150,7 +150,6 @@ class ServerStableStore {
   const ServerStoreStats& stats() const { return stats_; }
   // The WAL log (and through it the fault-injectable device).
   StableLog* wal() { return &wal_; }
-  StableLog* wal_for_test() { return &wal_; }
 
  private:
   struct Snapshot {
@@ -161,6 +160,11 @@ class ServerStableStore {
 
   EventLoop* loop_;
   ServerStoreOptions options_;
+  // The WAL counts into its own registry, not the server node's: node
+  // registries' "stable_log." counters are the client operation log's, and
+  // sums over every node (the benchmark's log-flush ratios) must not mix in
+  // WAL traffic. Declared before the WAL so it outlives the WAL's handles.
+  obs::Registry wal_metrics_;
   StableLog wal_;
   Snapshot snapshot_;
   // Server incarnation; persisted trivially (a tiny durable cell), bumped by

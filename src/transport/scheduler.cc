@@ -11,10 +11,31 @@
 
 namespace rover {
 
-NetworkScheduler::NetworkScheduler(EventLoop* loop, Host* host, SchedulerOptions options)
+NetworkScheduler::NetworkScheduler(EventLoop* loop, Host* host, obs::Registry* metrics,
+                                   SchedulerOptions options)
     : loop_(loop), host_(host), options_(options),
-      retry_budget_(options.retry_budget_capacity, options.retry_budget_refill_per_sec) {
-  WireMetrics(&own_metrics_, "scheduler");
+      retry_budget_(options.retry_budget_capacity, options.retry_budget_refill_per_sec),
+      c_messages_enqueued_(metrics->counter("scheduler.messages_enqueued")),
+      c_messages_delivered_(metrics->counter("scheduler.messages_delivered")),
+      c_messages_expired_(metrics->counter("scheduler.messages_expired")),
+      c_frames_sent_(metrics->counter("scheduler.frames_sent")),
+      c_retries_(metrics->counter("scheduler.retries")),
+      c_bytes_sent_(metrics->counter("scheduler.bytes_sent")),
+      c_payload_bytes_original_(metrics->counter("scheduler.payload_bytes_original")),
+      c_payload_bytes_sent_(metrics->counter("scheduler.payload_bytes_sent")),
+      c_payload_bytes_cancelled_(metrics->counter("scheduler.payload_bytes_cancelled")),
+      c_messages_shed_(metrics->counter("scheduler.messages_shed")),
+      c_enqueue_rejected_(metrics->counter("scheduler.enqueue_rejected")),
+      c_retry_budget_waits_(metrics->counter("scheduler.retry_budget_waits")),
+      c_breaker_opened_(metrics->counter("scheduler.breaker_open_transitions")),
+      g_queue_depth_(metrics->gauge("scheduler.queue_depth")),
+      g_queued_bytes_(metrics->gauge("scheduler.queued_payload_bytes")),
+      g_breakers_open_(metrics->gauge("scheduler.breakers_open")) {
+  // A scheduler rebuilt after a crash starts empty; the node registry's
+  // gauges still hold the previous incarnation's values until reset here.
+  g_queue_depth_->Set(0);
+  g_queued_bytes_->Set(0);
+  g_breakers_open_->Set(0);
 }
 
 NetworkScheduler::~NetworkScheduler() {
@@ -57,64 +78,6 @@ NetworkScheduler::DestQueue* NetworkScheduler::FindDest(const std::string& dest)
 BreakerState NetworkScheduler::BreakerStateFor(const std::string& dest) const {
   const DestQueue* q = FindDest(dest);
   return q == nullptr ? BreakerState::kClosed : q->breaker.state();
-}
-
-void NetworkScheduler::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_messages_enqueued_ = registry->counter(prefix + ".messages_enqueued");
-  c_messages_delivered_ = registry->counter(prefix + ".messages_delivered");
-  c_messages_expired_ = registry->counter(prefix + ".messages_expired");
-  c_frames_sent_ = registry->counter(prefix + ".frames_sent");
-  c_retries_ = registry->counter(prefix + ".retries");
-  c_bytes_sent_ = registry->counter(prefix + ".bytes_sent");
-  c_payload_bytes_original_ = registry->counter(prefix + ".payload_bytes_original");
-  c_payload_bytes_sent_ = registry->counter(prefix + ".payload_bytes_sent");
-  c_payload_bytes_cancelled_ = registry->counter(prefix + ".payload_bytes_cancelled");
-  c_messages_shed_ = registry->counter(prefix + ".messages_shed");
-  c_enqueue_rejected_ = registry->counter(prefix + ".enqueue_rejected");
-  c_retry_budget_waits_ = registry->counter(prefix + ".retry_budget_waits");
-  c_breaker_opened_ = registry->counter(prefix + ".breaker_open_transitions");
-  g_queue_depth_ = registry->gauge(prefix + ".queue_depth");
-  g_queued_bytes_ = registry->gauge(prefix + ".queued_payload_bytes");
-  g_breakers_open_ = registry->gauge(prefix + ".breakers_open");
-}
-
-void NetworkScheduler::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const SchedulerStats carried = stats();
-  WireMetrics(registry, prefix);
-  c_messages_enqueued_->Increment(carried.messages_enqueued);
-  c_messages_delivered_->Increment(carried.messages_delivered);
-  c_messages_expired_->Increment(carried.messages_expired);
-  c_frames_sent_->Increment(carried.frames_sent);
-  c_retries_->Increment(carried.retries);
-  c_bytes_sent_->Increment(carried.bytes_sent);
-  c_payload_bytes_original_->Increment(carried.payload_bytes_original);
-  c_payload_bytes_sent_->Increment(carried.payload_bytes_sent);
-  c_payload_bytes_cancelled_->Increment(carried.payload_bytes_cancelled);
-  c_messages_shed_->Increment(carried.messages_shed);
-  c_enqueue_rejected_->Increment(carried.enqueue_rejected);
-  c_retry_budget_waits_->Increment(carried.retry_budget_waits);
-  c_breaker_opened_->Increment(carried.breaker_open_transitions);
-  g_queue_depth_->Set(static_cast<int64_t>(total_queued_));
-  g_queued_bytes_->Set(static_cast<int64_t>(queued_payload_bytes_));
-  g_breakers_open_->Set(open_breakers_);
-}
-
-SchedulerStats NetworkScheduler::stats() const {
-  SchedulerStats s;
-  s.messages_enqueued = c_messages_enqueued_->value();
-  s.messages_delivered = c_messages_delivered_->value();
-  s.messages_expired = c_messages_expired_->value();
-  s.frames_sent = c_frames_sent_->value();
-  s.retries = c_retries_->value();
-  s.bytes_sent = c_bytes_sent_->value();
-  s.payload_bytes_original = c_payload_bytes_original_->value();
-  s.payload_bytes_sent = c_payload_bytes_sent_->value();
-  s.payload_bytes_cancelled = c_payload_bytes_cancelled_->value();
-  s.messages_shed = c_messages_shed_->value();
-  s.enqueue_rejected = c_enqueue_rejected_->value();
-  s.retry_budget_waits = c_retry_budget_waits_->value();
-  s.breaker_open_transitions = c_breaker_opened_->value();
-  return s;
 }
 
 void NetworkScheduler::NoteLiveAdded(DestId id, int prio, size_t payload_bytes) {
@@ -660,8 +623,9 @@ bool NetworkScheduler::ArmUpWakeup(DestId id) {
   }
   if (soonest == nullptr) {
     // No wakeup to arm. With no link at all a route may still be attached
-    // later (ReevaluateWakeups retries); with links that will never come up
-    // again the destination is dead -- report that to the caller.
+    // later (Host::Attach fires the peer observer armed above, which
+    // retries); with links that will never come up again the destination is
+    // dead -- report that to the caller.
     return !has_link;
   }
   q.waiting_for_up = true;
@@ -713,26 +677,6 @@ void NetworkScheduler::ArmPeerObserver(DestId id) {
         TryDrain(id);
       },
       this);
-}
-
-void NetworkScheduler::ReevaluateWakeups() {
-  // Only destinations with queued traffic can hold a stale wakeup worth
-  // recomputing; TryDrain may mutate the set, so iterate a snapshot.
-  const std::vector<DestId> queued(nonempty_dests_.begin(), nonempty_dests_.end());
-  for (DestId id : queued) {
-    DestQueue& q = dests_[id];
-    if (q.in_flight || q.empty()) {
-      continue;
-    }
-    // Disarm any stale wakeup (computed against the old link set) and let
-    // TryDrain either send now or re-arm against the current one.
-    if (q.waiting_for_up) {
-      loop_->Cancel(q.up_wakeup_event);
-      q.waiting_for_up = false;
-      q.up_wakeup_event = kInvalidEventId;
-    }
-    TryDrain(id);
-  }
 }
 
 void NetworkScheduler::NoteDestUnreachable(DestId id) {

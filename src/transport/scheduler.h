@@ -71,23 +71,6 @@ struct SchedulerOptions {
   CircuitBreakerOptions breaker;
 };
 
-// Snapshot assembled from the metrics registry (see stats()).
-struct SchedulerStats {
-  uint64_t messages_enqueued = 0;
-  uint64_t messages_delivered = 0;
-  uint64_t messages_expired = 0;       // dropped when their TTL lapsed while queued
-  uint64_t frames_sent = 0;
-  uint64_t retries = 0;
-  uint64_t bytes_sent = 0;             // frame bytes handed to links
-  uint64_t payload_bytes_original = 0; // pre-compression payload of enqueued msgs
-  uint64_t payload_bytes_sent = 0;     // post-compression payload actually delivered
-  uint64_t payload_bytes_cancelled = 0;  // cancelled before any delivery
-  uint64_t messages_shed = 0;          // queued background dropped to admit others
-  uint64_t enqueue_rejected = 0;       // refused admission at Enqueue
-  uint64_t retry_budget_waits = 0;     // retries delayed by an empty budget
-  uint64_t breaker_open_transitions = 0;  // closed/half-open -> open edges
-};
-
 // Independent structural recount of the queues, for invariant checking
 // (SimCheck compares these against the incrementally-maintained gauges).
 struct SchedulerQueueAudit {
@@ -109,7 +92,9 @@ class NetworkScheduler {
   // on its primary as the failure-detector input for failover.
   using BreakerObserver = std::function<void(const std::string& dest, BreakerState state)>;
 
-  NetworkScheduler(EventLoop* loop, Host* host, SchedulerOptions options = {});
+  // Counts into `metrics` under "scheduler.".
+  NetworkScheduler(EventLoop* loop, Host* host, obs::Registry* metrics,
+                   SchedulerOptions options = {});
   ~NetworkScheduler();
 
   // Queues `msg` for delivery to msg.header.dst. Returns immediately;
@@ -151,27 +136,13 @@ class NetworkScheduler {
   // whatever `from` never answered. O(moved), not O(queue scan).
   std::vector<uint64_t> RebindDestination(const std::string& from, const std::string& to);
 
-  // Re-homes the scheduler's instruments into `registry` under
-  // "<prefix>." names, carrying current values over. Call before or after
-  // traffic; handles into the previous registry become stale.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "scheduler");
-
   // Records kTransmitted span events for request messages it sends.
   void SetTracer(obs::RpcTracer* tracer) { tracer_ = tracer; }
 
-  // Snapshot adapter over the registry counters (kept for existing callers).
-  SchedulerStats stats() const;
   const SchedulerOptions& options() const { return options_; }
 
   // Highest-quality (bandwidth) currently-up link to `dest`, or nullptr.
   Link* PickLink(const std::string& dest) const;
-
-  // Re-examines every parked destination queue: wakeups armed against the
-  // link set as it stood earlier are torn down and recomputed. Called when
-  // the host's link set changes (a link attached after a queue went to
-  // sleep, or after concluding "no route will ever exist"). O(destinations
-  // with queued traffic), not O(all destinations ever seen).
-  void ReevaluateWakeups();
 
  private:
   // Dense interned destination id; index into dests_.
@@ -261,7 +232,6 @@ class NetworkScheduler {
   // breaker observer; called at every mutation site so NotifyObserver never
   // rescans the queues.
   void NoteBreakerChange(const std::string& dest, BreakerState before, BreakerState after);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   EventLoop* loop_;
   Host* host_;
@@ -290,24 +260,23 @@ class NetworkScheduler {
   // transport rebuilt after a simulated crash -- never touch freed state.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
   obs::RpcTracer* tracer_ = nullptr;
-  obs::Counter* c_messages_enqueued_ = nullptr;
-  obs::Counter* c_messages_delivered_ = nullptr;
-  obs::Counter* c_messages_expired_ = nullptr;
-  obs::Counter* c_frames_sent_ = nullptr;
-  obs::Counter* c_retries_ = nullptr;
-  obs::Counter* c_bytes_sent_ = nullptr;
-  obs::Counter* c_payload_bytes_original_ = nullptr;
-  obs::Counter* c_payload_bytes_sent_ = nullptr;
-  obs::Counter* c_payload_bytes_cancelled_ = nullptr;
-  obs::Counter* c_messages_shed_ = nullptr;
-  obs::Counter* c_enqueue_rejected_ = nullptr;
-  obs::Counter* c_retry_budget_waits_ = nullptr;
-  obs::Counter* c_breaker_opened_ = nullptr;
-  obs::Gauge* g_queue_depth_ = nullptr;
-  obs::Gauge* g_queued_bytes_ = nullptr;
-  obs::Gauge* g_breakers_open_ = nullptr;
+  obs::Counter* const c_messages_enqueued_;
+  obs::Counter* const c_messages_delivered_;
+  obs::Counter* const c_messages_expired_;
+  obs::Counter* const c_frames_sent_;
+  obs::Counter* const c_retries_;
+  obs::Counter* const c_bytes_sent_;
+  obs::Counter* const c_payload_bytes_original_;
+  obs::Counter* const c_payload_bytes_sent_;
+  obs::Counter* const c_payload_bytes_cancelled_;
+  obs::Counter* const c_messages_shed_;
+  obs::Counter* const c_enqueue_rejected_;
+  obs::Counter* const c_retry_budget_waits_;
+  obs::Counter* const c_breaker_opened_;
+  obs::Gauge* const g_queue_depth_;
+  obs::Gauge* const g_queued_bytes_;
+  obs::Gauge* const g_breakers_open_;
 };
 
 }  // namespace rover

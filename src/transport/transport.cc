@@ -7,16 +7,17 @@
 
 namespace rover {
 
-TransportManager::TransportManager(EventLoop* loop, Host* host, SchedulerOptions options)
-    : loop_(loop), host_(host), scheduler_(loop, host, options) {
-  WireMetrics(&own_metrics_, "transport");
+TransportManager::TransportManager(EventLoop* loop, Host* host, obs::Registry* metrics,
+                                   SchedulerOptions options)
+    : loop_(loop), host_(host), scheduler_(loop, host, metrics, options),
+      c_frames_corrupt_dropped_(metrics->counter("transport.frames_corrupt_dropped")),
+      c_messages_undecodable_(metrics->counter("transport.messages_undecodable")) {
+  // Link attachments reach the scheduler's parked queues through the
+  // per-peer observers it registers with the host (see
+  // NetworkScheduler::ArmPeerObserver), not through the transport.
   host_->SetReceiver([this](Bytes frame, const std::string& from) {
     HandleFrame(std::move(frame), from);
   }, this);
-  // Queues parked on "no usable link" register per-peer observers with the
-  // host (see NetworkScheduler::ArmPeerObserver); no global link-change
-  // listener is needed, so N parked destinations no longer all re-scan on
-  // every unrelated link event.
 }
 
 TransportManager::~TransportManager() {
@@ -75,19 +76,6 @@ Result<Message> TransportManager::DecodeEnvelope(const Buffer& payload) {
 
 void TransportManager::SetHandler(MessageType type, MessageHandler handler) {
   handlers_[static_cast<size_t>(type)] = std::move(handler);
-}
-
-void TransportManager::WireMetrics(obs::Registry* registry, const std::string& prefix) {
-  c_frames_corrupt_dropped_ = registry->counter(prefix + ".frames_corrupt_dropped");
-  c_messages_undecodable_ = registry->counter(prefix + ".messages_undecodable");
-}
-
-void TransportManager::BindMetrics(obs::Registry* registry, const std::string& prefix) {
-  const uint64_t frames = c_frames_corrupt_dropped_->value();
-  const uint64_t messages = c_messages_undecodable_->value();
-  WireMetrics(registry, prefix);
-  c_frames_corrupt_dropped_->Increment(frames);
-  c_messages_undecodable_->Increment(messages);
 }
 
 void TransportManager::HandleFrame(Bytes frame, const std::string& from) {

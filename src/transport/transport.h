@@ -26,7 +26,10 @@ class TransportManager {
  public:
   using MessageHandler = std::function<void(const Message&)>;
 
-  TransportManager(EventLoop* loop, Host* host, SchedulerOptions options = {});
+  // Counts into `metrics` under "transport."; the scheduler it owns counts
+  // into the same registry.
+  TransportManager(EventLoop* loop, Host* host, obs::Registry* metrics,
+                   SchedulerOptions options = {});
   // Unhooks this transport from the host so a frame or link attachment in
   // the window before a replacement transport registers (crash restart)
   // cannot reach freed state.
@@ -64,21 +67,9 @@ class TransportManager {
   static Bytes EncodeEnvelope(const Message& inner);
   static Result<Message> DecodeEnvelope(const Buffer& payload);
 
-  // Re-homes the transport's instruments into `registry` under "<prefix>."
-  // names, carrying current values over.
-  void BindMetrics(obs::Registry* registry, const std::string& prefix = "transport");
-
-  // Inbound frames dropped at the decode boundary (bit-corrupted on the
-  // wire). Corruption never propagates past this point: no partial message
-  // reaches a handler.
-  uint64_t frames_corrupt_dropped() const { return c_frames_corrupt_dropped_->value(); }
-  // Individual messages dropped because their compressed payload failed to
-  // decompress (the rest of the frame's batch still dispatches).
-  uint64_t messages_undecodable() const { return c_messages_undecodable_->value(); }
 
  private:
   void HandleFrame(Bytes frame, const std::string& from);
-  void WireMetrics(obs::Registry* registry, const std::string& prefix);
 
   EventLoop* loop_;
   Host* host_;
@@ -86,9 +77,12 @@ class TransportManager {
   std::array<MessageHandler, 4> handlers_;
   uint64_t next_message_id_ = 1;
   std::string auth_token_;
-  obs::Registry own_metrics_;  // used until BindMetrics() points elsewhere
-  obs::Counter* c_frames_corrupt_dropped_ = nullptr;
-  obs::Counter* c_messages_undecodable_ = nullptr;
+  // Inbound frames dropped at the decode boundary (bit-corrupted on the
+  // wire): corruption never propagates further, no partial message reaches
+  // a handler. A message whose compressed payload fails to decompress is
+  // dropped alone; the rest of its frame's batch still dispatches.
+  obs::Counter* const c_frames_corrupt_dropped_;
+  obs::Counter* const c_messages_undecodable_;
 };
 
 }  // namespace rover

@@ -9,6 +9,7 @@
 
 #include "src/core/toolkit.h"
 #include "src/tclite/value.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -65,8 +66,8 @@ TEST_F(AccessManagerTest, ImportMissThenHit) {
   auto p2 = client->access()->Import("counter");
   ASSERT_TRUE(p2.Wait(bed.loop()));
   EXPECT_TRUE(p2.value().from_cache);
-  EXPECT_EQ(client->access()->stats().cache_hits, 1u);
-  EXPECT_EQ(client->access()->stats().cache_misses, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.cache_hits"), 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.cache_misses"), 1u);
 }
 
 TEST_F(AccessManagerTest, ImportMissingObjectFails) {
@@ -122,7 +123,7 @@ TEST_F(AccessManagerTest, AdaptivePolicyUsesServerOnFastLink) {
   EXPECT_EQ(p.value().value, "3");
   // Server-side execution commits immediately.
   EXPECT_EQ(bed.server()->store()->Get("counter")->data, "3");
-  EXPECT_EQ(client->access()->stats().remote_invokes, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.remote_invokes"), 1u);
 }
 
 TEST_F(AccessManagerTest, ForceSiteOverridesPolicy) {
@@ -273,7 +274,7 @@ TEST_F(AccessManagerTest, UnresolvableConflictKeepsTentativeAndNotifies) {
   EXPECT_NE(conflict_committed.data.find("staff"), std::string::npos);
   // Server keeps a's booking.
   EXPECT_EQ(bed.server()->store()->Get("cal")->data, "10am staff");
-  EXPECT_EQ(b->access()->stats().conflicts_unresolved, 1u);
+  EXPECT_EQ(Count(b->metrics(), "access_manager.conflicts_unresolved"), 1u);
 }
 
 TEST_F(AccessManagerTest, CoalescedExportProcessesResponseOnce) {
@@ -299,8 +300,8 @@ TEST_F(AccessManagerTest, CoalescedExportProcessesResponseOnce) {
   ASSERT_TRUE(p2.ready());
   EXPECT_TRUE(p1.value().status.ok());
   EXPECT_TRUE(p2.value().status.ok());
-  EXPECT_EQ(client->qrpc()->stats().coalesced, 1u);
-  EXPECT_EQ(client->access()->stats().exports_completed, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.coalesced"), 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.exports_completed"), 1u);
   EXPECT_FALSE(client->access()->IsTentative("counter"));
   EXPECT_EQ(bed.server()->store()->Get("counter")->data, "5");
 }
@@ -332,10 +333,10 @@ TEST_F(AccessManagerTest, CoalescedExportReportsConflictOnce) {
   ASSERT_TRUE(p2.ready());
   EXPECT_EQ(p1.value().status.code(), StatusCode::kConflict);
   EXPECT_EQ(p2.value().status.code(), StatusCode::kConflict);
-  EXPECT_EQ(b->qrpc()->stats().coalesced, 1u);
+  EXPECT_EQ(Count(b->metrics(), "qrpc_client.coalesced"), 1u);
   // One conflict on the wire -> one callback, one counter bump.
   EXPECT_EQ(conflicts_reported, 1);
-  EXPECT_EQ(b->access()->stats().conflicts_unresolved, 1u);
+  EXPECT_EQ(Count(b->metrics(), "access_manager.conflicts_unresolved"), 1u);
 }
 
 TEST_F(AccessManagerTest, EvictionIsLruAndSparesTentativePinned) {
@@ -357,7 +358,7 @@ TEST_F(AccessManagerTest, EvictionIsLruAndSparesTentativePinned) {
   for (int i = 1; i < 10; ++i) {
     client->access()->Import("obj/" + std::to_string(i)).Wait(bed.loop());
   }
-  EXPECT_GT(client->access()->stats().evictions, 0u);
+  EXPECT_GT(Count(client->metrics(), "access_manager.evictions"), 0u);
   EXPECT_LE(client->access()->CacheBytes(), 2500u);
   EXPECT_TRUE(client->access()->HasCached("obj/0"));   // pinned survived
   EXPECT_FALSE(client->access()->HasCached("obj/1"));  // LRU victim
@@ -377,7 +378,7 @@ TEST_F(AccessManagerTest, PrefetchFillsCacheInBackground) {
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(client->access()->HasCached("doc/" + std::to_string(i)));
   }
-  EXPECT_EQ(client->access()->stats().prefetch_issued, 6u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.prefetch_issued"), 6u);
 }
 
 TEST_F(AccessManagerTest, SubscriptionInvalidatesStaleCache) {
@@ -397,7 +398,7 @@ TEST_F(AccessManagerTest, SubscriptionInvalidatesStaleCache) {
   b->access()->Invoke("counter", "add", {"9"}).Wait(bed.loop());
   b->access()->Export("counter").Wait(bed.loop());
   bed.Run();
-  EXPECT_EQ(a->access()->stats().invalidations_received, 1u);
+  EXPECT_EQ(Count(a->metrics(), "access_manager.invalidations_received"), 1u);
 
   // a's next import refetches the new version rather than using the cache.
   auto p = a->access()->Import("counter");
@@ -430,9 +431,9 @@ TEST_F(AccessManagerTest, InvalidationFansOutOncePerSubscriberPerCommit) {
   bed.Run();
 
   EXPECT_EQ(bed.server()->rover()->stats().invalidations_sent, 2u);
-  EXPECT_EQ(a->access()->stats().invalidations_received, 1u);
-  EXPECT_EQ(b->access()->stats().invalidations_received, 1u);
-  EXPECT_EQ(c->access()->stats().invalidations_received, 0u);  // exporter
+  EXPECT_EQ(Count(a->metrics(), "access_manager.invalidations_received"), 1u);
+  EXPECT_EQ(Count(b->metrics(), "access_manager.invalidations_received"), 1u);
+  EXPECT_EQ(Count(c->metrics(), "access_manager.invalidations_received"), 0u);  // exporter
 }
 
 TEST_F(AccessManagerTest, SessionReadYourWritesAcrossEviction) {
@@ -616,8 +617,8 @@ TEST_F(DeltaImportTest, StaleRefetchUsesDelta) {
   EXPECT_EQ(p.value().version, 2u);
   EXPECT_EQ(*client->access()->ReadCommittedData("big"), data);
 
-  EXPECT_EQ(client->access()->stats().delta_hits, 1u);
-  EXPECT_GT(client->access()->stats().delta_bytes_saved, 0u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_hits"), 1u);
+  EXPECT_GT(Count(client->metrics(), "access_manager.delta_bytes_saved"), 0u);
   EXPECT_EQ(bed.server()->rover()->stats().deltas_sent, 1u);
   EXPECT_GT(bed.server()->rover()->stats().delta_bytes_saved, 0u);
 }
@@ -634,7 +635,7 @@ TEST_F(DeltaImportTest, UnchangedRefetchIsNotModified) {
   ASSERT_TRUE(p.Wait(bed.loop()));
   ASSERT_TRUE(p.value().status.ok());
   EXPECT_EQ(p.value().version, 1u);
-  EXPECT_EQ(client->access()->stats().delta_not_modified, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_not_modified"), 1u);
   EXPECT_EQ(bed.server()->rover()->stats().imports_not_modified, 1u);
 }
 
@@ -655,15 +656,15 @@ TEST_F(DeltaImportTest, CorruptCachedImageFallsBackToFullFetch) {
   ASSERT_TRUE(p.value().status.ok());
   EXPECT_EQ(p.value().version, 2u);
   EXPECT_EQ(*client->access()->ReadCommittedData("big"), data);
-  EXPECT_EQ(client->access()->stats().delta_fallbacks, 1u);
-  EXPECT_EQ(client->access()->stats().delta_hits, 0u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_fallbacks"), 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_hits"), 0u);
 
   // The fallback repaired the cached image; the next refetch deltas again.
   data = EditBig(&bed, data);
   auto p2 = client->access()->Import("big", force);
   ASSERT_TRUE(p2.Wait(bed.loop()));
   ASSERT_TRUE(p2.value().status.ok());
-  EXPECT_EQ(client->access()->stats().delta_hits, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_hits"), 1u);
   EXPECT_EQ(*client->access()->ReadCommittedData("big"), data);
 }
 
@@ -682,8 +683,8 @@ TEST_F(DeltaImportTest, DeltaDisabledSendsLegacyImports) {
   ASSERT_TRUE(p.Wait(bed.loop()));
   ASSERT_TRUE(p.value().status.ok());
   EXPECT_EQ(*client->access()->ReadCommittedData("big"), data);
-  EXPECT_EQ(client->access()->stats().delta_hits, 0u);
-  EXPECT_EQ(client->access()->stats().delta_full, 0u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_hits"), 0u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_full"), 0u);
   EXPECT_EQ(bed.server()->rover()->stats().deltas_sent, 0u);
 }
 
@@ -711,7 +712,7 @@ TEST_F(DeltaImportTest, ImportEscalationCoalescesDuplicateRpc) {
   ASSERT_TRUE(fast.ready());
   EXPECT_TRUE(slow.value().status.ok());
   EXPECT_TRUE(fast.value().status.ok());
-  EXPECT_EQ(client->qrpc()->stats().coalesced, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.coalesced"), 1u);
   // Only one import reached the server.
   EXPECT_EQ(bed.server()->rover()->stats().imports, 1u);
 }
@@ -855,8 +856,8 @@ TEST_F(SessionGuaranteeTest, NotModifiedBelowSessionFloorIsNotServed) {
   ASSERT_TRUE(p.Wait(bed.loop()));
   EXPECT_EQ(p.value().status.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(p.value().status.message().find("session requires"), std::string::npos);
-  EXPECT_EQ(client->access()->stats().delta_not_modified, 0u);
-  EXPECT_EQ(client->access()->stats().delta_fallbacks, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_not_modified"), 0u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_fallbacks"), 1u);
 }
 
 TEST_F(SessionGuaranteeTest, DeltaReplySatisfiesSessionFloor) {
@@ -879,7 +880,7 @@ TEST_F(SessionGuaranteeTest, DeltaReplySatisfiesSessionFloor) {
   ASSERT_TRUE(p.value().status.ok());
   EXPECT_EQ(p.value().version, 2u);
   EXPECT_EQ(*client->access()->ReadCommittedData("pad"), data);
-  EXPECT_EQ(client->access()->stats().delta_hits, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_hits"), 1u);
   EXPECT_EQ(session.RequiredVersion("pad"), 2u);
   EXPECT_EQ(session.ObjectsTouched(), 1u);
 }
@@ -941,12 +942,12 @@ TEST_F(SessionGuaranteeTest, MidSessionRestartRoundTripsCacheAndRpcIds) {
   ASSERT_TRUE(p.value().status.ok());
   EXPECT_EQ(p.value().version, 2u);
   EXPECT_EQ(*client->access()->ReadCommittedData("pad"), data);
-  EXPECT_EQ(client->access()->stats().delta_hits, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.delta_hits"), 1u);
 
   // The persisted rpc-id counter kept post-restart calls out of the dup
   // cache's shadow: nothing the new incarnation sent collided with an id
   // the dead one already used.
-  EXPECT_EQ(bed.server()->qrpc()->stats().duplicates, 0u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "qrpc_server.duplicates"), 0u);
   EXPECT_EQ(session.ObjectsTouched(), 2u);
   EXPECT_EQ(session.RequiredVersion("counter"), 2u);
 }

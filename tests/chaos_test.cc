@@ -23,6 +23,7 @@
 #include "src/core/toolkit.h"
 #include "src/store/server_store.h"
 #include "src/tclite/value.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -134,7 +135,7 @@ TEST(ServerStoreTest, TornRecordUnderInFlightWriteDroppedOnRecovery) {
   loop.Run();  // first record durable
   store.LogTransaction(MakeTxn("b", "2", 1));
   store.Flush(nullptr);  // device write now in flight
-  ASSERT_TRUE(store.wal_for_test()->WriteInFlight());
+  ASSERT_TRUE(store.wal()->WriteInFlight());
 
   store.SimulateCrash(/*tear_last_record=*/true);
   RecoveredServerState rec = store.Recover();
@@ -153,7 +154,7 @@ TEST(ServerStoreTest, TearWithoutInFlightWriteCannotCorruptDurableRecords) {
   store.LogTransaction(MakeTxn("a", "1", 1));
   store.Flush(nullptr);
   loop.Run();
-  ASSERT_FALSE(store.wal_for_test()->WriteInFlight());
+  ASSERT_FALSE(store.wal()->WriteInFlight());
 
   // A power cut can only tear the record under an in-flight device write; a
   // record whose write completed (and was possibly acknowledged) survives.
@@ -381,7 +382,7 @@ TEST(CrashRecoveryTest, ServerCrashAfterDurableResponseRepliesFromDupCache) {
   EXPECT_EQ(client->SimulateCrashAndRestart(false), 1u);
 
   bed.Run();
-  EXPECT_EQ(bed.server()->qrpc()->stats().duplicates, 1u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "qrpc_server.duplicates"), 1u);
   EXPECT_EQ(*bed.server()->store()->VersionOf("counter"), 2u);  // not 3
   EXPECT_EQ(bed.server()->store()->Get("counter")->data, "5");
   EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
@@ -416,7 +417,7 @@ TEST(CrashRecoveryTest, TornWalWriteRollsBackAtomicallyAndResendReexecutes) {
   // write is on the device but incomplete -- the response is still gated.
   ASSERT_TRUE(StepUntil(bed.loop(), TimePoint::Epoch() + Duration::Seconds(5), [&] {
     return *bed.server()->store()->VersionOf("counter") == 2 &&
-           bed.server()->stable_store()->wal_for_test()->WriteInFlight();
+           bed.server()->stable_store()->wal()->WriteInFlight();
   }));
 
   RecoveredServerState rec = bed.server()->SimulateCrashAndRestart(
@@ -430,7 +431,7 @@ TEST(CrashRecoveryTest, TornWalWriteRollsBackAtomicallyAndResendReexecutes) {
   EXPECT_EQ(client->SimulateCrashAndRestart(false), 1u);
   bed.Run();
   // No duplicate-cache entry survived, so the resend executed the handler.
-  EXPECT_EQ(bed.server()->qrpc()->stats().duplicates, 0u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "qrpc_server.duplicates"), 0u);
   EXPECT_EQ(*bed.server()->store()->VersionOf("counter"), 2u);
   EXPECT_EQ(bed.server()->store()->Get("counter")->data, "5");
   EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
@@ -459,7 +460,7 @@ TEST(CrashRecoveryTest, TornClientLogRecordLosesUncommittedCall) {
 
   EXPECT_EQ(client->SimulateCrashAndRestart(/*tear_last_log_record=*/true), 0u);
   bed.Run();
-  EXPECT_EQ(bed.server()->qrpc()->stats().requests, 0u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "qrpc_server.requests"), 0u);
   EXPECT_EQ(*bed.server()->store()->VersionOf("counter"), 1u);
   EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
 
@@ -493,7 +494,7 @@ TEST(SubscriptionTest, ServerRestartTriggersResubscribeAndStaleMark) {
   auto imp2 = a->access()->Import("other");
   ASSERT_TRUE(imp2.Wait(bed.loop()));
   bed.Run();
-  EXPECT_EQ(a->access()->stats().server_restarts_observed, 1u);
+  EXPECT_EQ(Count(a->metrics(), "access_manager.server_restarts_observed"), 1u);
   EXPECT_EQ(bed.server()->rover()->SubscriberCount("counter"), 1u);
   auto imp3 = a->access()->Import("counter");
   ASSERT_TRUE(imp3.Wait(bed.loop()));
@@ -506,7 +507,7 @@ TEST(SubscriptionTest, ServerRestartTriggersResubscribeAndStaleMark) {
   auto inv = b->access()->Invoke("counter", "add", {"1"}, io);
   ASSERT_TRUE(inv.Wait(bed.loop()));
   bed.Run();
-  EXPECT_GE(a->access()->stats().invalidations_received, 1u);
+  EXPECT_GE(Count(a->metrics(), "access_manager.invalidations_received"), 1u);
 }
 
 TEST(SubscriptionTest, EvictionWithdrawsSubscription) {

@@ -7,8 +7,10 @@
 // once; a dead primary trips the circuit breaker and engages the
 // configured failover route with no external trigger; a WAL fail-stop
 // hands the service to the backup through the fail-stop failover handler;
-// and a silent backup degrades the sender to asynchronous shipping
-// instead of wedging response release.
+// a silent backup degrades the sender to asynchronous shipping instead of
+// wedging response release; the backup's bootstrap resync is counted on
+// both ends of the channel; and a backup with no durable store (durable =
+// false) can still be promoted.
 // Part 2 is the failover chaos harness: a seeded FaultPlan kills the
 // primary for good at a random point in the run (mid-WAL-flush,
 // mid-coalesce, mid-anything), promotes the backup one detection delay
@@ -28,6 +30,7 @@
 #include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
 #include "src/tclite/value.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -103,11 +106,11 @@ TEST(FailoverTest, ReplicatedResponseReplaysAtBackupWithoutReexecution) {
   ASSERT_TRUE(result.ready());
   EXPECT_TRUE(result.value().status.ok());
   EXPECT_TRUE(client->qrpc()->failover_engaged());
-  EXPECT_EQ(client->qrpc()->stats().failovers, 1u);
-  EXPECT_GE(client->qrpc()->stats().failover_redispatches, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.failovers"), 1u);
+  EXPECT_GE(Count(client->metrics(), "qrpc_client.failover_redispatches"), 1u);
   // Answered from the replicated duplicate cache: no execution at the
   // backup, token present exactly once.
-  EXPECT_GE(backup->qrpc()->stats().duplicates, 1u);
+  EXPECT_GE(Count(backup->metrics(), "qrpc_server.duplicates"), 1u);
   EXPECT_EQ(backup->rover()->stats().invokes, 0u);
   ASSERT_TRUE(backup->store()->Get("journal").ok());
   EXPECT_EQ(backup->store()->Get("journal")->data, "tok0");
@@ -151,7 +154,7 @@ TEST(FailoverTest, NonReplicatedOpReexecutesExactlyOnceAtBackup) {
   ASSERT_TRUE(result.ready());
   EXPECT_TRUE(result.value().status.ok());
   // Fresh execution at the backup, not a replay.
-  EXPECT_EQ(backup->qrpc()->stats().duplicates, 0u);
+  EXPECT_EQ(Count(backup->metrics(), "qrpc_server.duplicates"), 0u);
   EXPECT_EQ(backup->rover()->stats().invokes, 1u);
   ASSERT_TRUE(backup->store()->Get("journal").ok());
   EXPECT_EQ(backup->store()->Get("journal")->data, "tok0");
@@ -188,7 +191,7 @@ TEST(FailoverTest, DeadPrimaryOpensBreakerAndEngagesFailoverAutomatically) {
   ASSERT_TRUE(result.ready());
   EXPECT_TRUE(result.value().status.ok());
   EXPECT_TRUE(client->qrpc()->failover_engaged());
-  EXPECT_EQ(client->qrpc()->stats().failovers, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.failovers"), 1u);
   EXPECT_EQ(backup->rover()->stats().invokes, 1u);
   ASSERT_TRUE(backup->store()->Get("journal").ok());
   EXPECT_EQ(backup->store()->Get("journal")->data, "tok0");
@@ -274,7 +277,7 @@ TEST(FailoverTest, SenderDegradesToAsyncWhenBackupStopsAcking) {
   ASSERT_TRUE(result.ready());
   EXPECT_TRUE(result.value().status.ok());
   EXPECT_TRUE(bed.server()->replication_sender()->degraded());
-  EXPECT_GE(bed.server()->replication_sender()->stats().sync_degrades, 1u);
+  EXPECT_GE(Count(bed.server()->metrics(), "replication_sender.sync_degrades"), 1u);
 
   // The link returns at 300s: the backlog drains, the backup acks, and the
   // sender heals back to synchronous shipping.
@@ -286,6 +289,40 @@ TEST(FailoverTest, SenderDegradesToAsyncWhenBackupStopsAcking) {
             bed.server()->replication_sender()->last_shipped());
   simcheck.CheckQuiesced();
   EXPECT_TRUE(simcheck.ok()) << simcheck.Report() << simcheck.TraceTail(150);
+}
+
+// The backup's receiver sends its bootstrap resync request from its
+// constructor. That request counts in the backup's registry like any later
+// one, and both ends of the channel agree on it.
+TEST(FailoverTest, BootstrapResyncCountedOnBothEnds) {
+  Testbed bed;
+  RoverServerNode* backup = bed.AddBackup("backup", LinkProfile::Ethernet10());
+  bed.RunFor(Duration::Seconds(1));
+  EXPECT_EQ(Count(backup->metrics(), "replication_receiver.resyncs_requested"), 1u);
+  EXPECT_EQ(Count(backup->metrics(), "replication_receiver.snapshots_applied"), 1u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "replication_sender.resyncs_served"), 1u);
+}
+
+// A volatile backup (ServerNodeOptions::durable = false) has no stable
+// store to journal the new epoch into; Promote still fences the primary by
+// moving the backup's QRPC epoch past every epoch the primary used.
+TEST(FailoverTest, VolatileBackupPromotesPastPrimaryEpoch) {
+  Testbed bed;
+  ServerNodeOptions bopts;
+  bopts.durable = false;
+  RoverServerNode* backup = bed.AddBackup("backup", LinkProfile::Ethernet10(), bopts);
+  bed.RunFor(Duration::Seconds(1));
+  ASSERT_EQ(Count(backup->metrics(), "replication_receiver.snapshots_applied"), 1u);
+  const uint64_t primary_epoch = bed.server()->qrpc()->epoch();
+
+  bed.server()->Kill();
+  const uint64_t epoch = backup->Promote();
+  EXPECT_GT(epoch, primary_epoch);
+  EXPECT_EQ(backup->qrpc()->epoch(), epoch);
+  EXPECT_EQ(Count(backup->metrics(), "replication_receiver.promotions"), 1u);
+  // Idempotent: a second call neither bumps the epoch nor counts again.
+  EXPECT_EQ(backup->Promote(), epoch);
+  EXPECT_EQ(Count(backup->metrics(), "replication_receiver.promotions"), 1u);
 }
 
 // --- Part 2: seeded failover chaos -----------------------------------------

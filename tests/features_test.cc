@@ -9,6 +9,7 @@
 
 #include "src/cache/urn.h"
 #include "src/core/toolkit.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -143,7 +144,7 @@ TEST(AuthTest, WrongTokenRefusedAndCounted) {
   auto call = client->qrpc()->Call("server", "rover.list", {std::string("")});
   ASSERT_TRUE(call.result.Wait(bed.loop()));
   EXPECT_EQ(call.result.value().status.code(), StatusCode::kPermissionDenied);
-  EXPECT_EQ(bed.server()->qrpc()->stats().auth_failures, 1u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "qrpc_server.auth_failures"), 1u);
 }
 
 // --- polling ---
@@ -165,8 +166,8 @@ TEST(PollTest, StaleEntryDetectedAndRefetched) {
 
   // After the next poll tick, a's entry is stale and a fresh import fetches v2.
   bed.loop()->RunFor(Duration::Seconds(40));
-  EXPECT_GE(a->access()->stats().polls_sent, 1u);
-  EXPECT_GE(a->access()->stats().poll_staleness_detected, 1u);
+  EXPECT_GE(Count(a->metrics(), "access_manager.polls_sent"), 1u);
+  EXPECT_GE(Count(a->metrics(), "access_manager.poll_staleness_detected"), 1u);
   auto re = a->access()->Import("counter");
   ASSERT_TRUE(re.Wait(bed.loop()));
   EXPECT_FALSE(re.value().from_cache);
@@ -187,7 +188,7 @@ TEST(PollTest, NoPollWhileDisconnected) {
   client->access()->Import("counter").Wait(bed.loop());
   bed.loop()->RunUntil(TimePoint::Epoch() + Duration::Seconds(120));
   // One poll may fire inside the first 15 s window; none afterwards.
-  EXPECT_LE(client->access()->stats().polls_sent, 2u);
+  EXPECT_LE(Count(client->metrics(), "access_manager.polls_sent"), 2u);
   EXPECT_EQ(client->transport()->scheduler()->TotalQueueDepth(), 0u);
 }
 
@@ -284,7 +285,7 @@ TEST(CancelTest, CancelledCallNeverReachesServer) {
   call.committed.Wait(bed.loop());
   client->qrpc()->Cancel(call.rpc_id);
   bed.Run();  // reconnect happens; nothing to send
-  EXPECT_EQ(bed.server()->qrpc()->stats().requests, 0u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "qrpc_server.requests"), 0u);
 }
 
 TEST(CancelTest, UnknownOrCompletedIdReturnsFalse) {
@@ -372,7 +373,7 @@ TEST(StalenessTest, StaleEntryServedWhileDisconnected) {
   b->access()->Invoke("counter", "add", {"1"}).Wait(bed.loop());
   b->access()->Export("counter").Wait(bed.loop());
   bed.loop()->RunFor(Duration::Seconds(5));
-  ASSERT_EQ(a->access()->stats().invalidations_received, 1u);
+  ASSERT_EQ(Count(a->metrics(), "access_manager.invalidations_received"), 1u);
 
   // Disconnect a, then import: the stale copy is served immediately
   // rather than queueing a refetch that cannot complete.

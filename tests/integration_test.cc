@@ -14,6 +14,7 @@
 #include "src/apps/web.h"
 #include "src/core/toolkit.h"
 #include "src/tclite/value.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -205,17 +206,16 @@ TEST(IntegrationTest, ThreeClientsShareCalendarThroughConflicts) {
   EXPECT_EQ(bed.server()->store()->stats().unresolved_conflicts, 1u);
 }
 
-TEST(IntegrationTest, SchedulerStatsAccountForTraffic) {
+TEST(IntegrationTest, SchedulerCountersAccountForTraffic) {
   Testbed bed;
   ASSERT_TRUE(bed.server()->rover()->CreateObject(
       MakeRdo("obj", "lww", "proc get {} { global state; return $state }",
               std::string(5000, 'x'))).ok());
   RoverClientNode* client = bed.AddClient("laptop", LinkProfile::Cslip144());
   client->access()->Import("obj").Wait(bed.loop());
-  const auto& client_stats = client->transport()->scheduler()->stats();
-  EXPECT_EQ(client_stats.messages_enqueued, 1u);
-  EXPECT_EQ(client_stats.messages_delivered, 1u);
-  EXPECT_GT(client_stats.bytes_sent, 0u);
+  EXPECT_EQ(Count(client->metrics(), "scheduler.messages_enqueued"), 1u);
+  EXPECT_EQ(Count(client->metrics(), "scheduler.messages_delivered"), 1u);
+  EXPECT_GT(Count(client->metrics(), "scheduler.bytes_sent"), 0u);
   // The link carried (at least) the request + the 5 KB response.
   uint64_t wire = 0;
   for (const auto& link : bed.network()->all_links()) {

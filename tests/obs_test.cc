@@ -2,8 +2,10 @@
 // regression tests for the accounting bugs it surfaced: cancelled-byte
 // accounting in the scheduler, corrupt duplicate-cache entries at the qrpc
 // server, double-charged overlapping stable-log flushes, and stale loss
-// backoff carried across a reconnection.
+// backoff carried across a reconnection. Node registries must also keep
+// counting across a crash-restart that rebuilds the components.
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +19,7 @@
 #include "src/qrpc/stable_log.h"
 #include "src/sim/network.h"
 #include "src/transport/transport.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -73,6 +76,21 @@ TEST(MetricsRegistryTest, RenderTextAndJson) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
+// The checked reads tests use: an unknown name must fail the test, not read
+// as a passing 0.
+TEST(MetricsRegistryTest, CheckedReadsFailOnUnknownNames) {
+  obs::Registry reg;
+  reg.counter("a.hits")->Increment(3);
+  reg.gauge("a.depth")->Set(-2);
+  EXPECT_EQ(Count(&reg, "a.hits"), 3u);
+  EXPECT_EQ(GaugeValue(&reg, "a.depth"), -2);
+  EXPECT_NONFATAL_FAILURE(Count(&reg, "a.hit"), "no counter named \"a.hit\"");
+  // A name that exists as another kind of instrument is unknown too.
+  EXPECT_NONFATAL_FAILURE(Count(&reg, "a.depth"), "no counter named \"a.depth\"");
+  EXPECT_NONFATAL_FAILURE(GaugeValue(&reg, "a.hits"), "no gauge named \"a.hits\"");
+  EXPECT_EQ(reg.FindCounter("a.hit"), nullptr) << "a checked read created the counter";
+}
+
 TEST(RpcTracerTest, RecordsOrderedEventsAndEvicts) {
   obs::RpcTracer tracer(/*max_spans=*/2);
   tracer.Record(1, obs::RpcEvent::kEnqueued, At(0.0));
@@ -97,7 +115,8 @@ TEST(SchedulerAccountingTest, CancelledBytesNotCountedAsSent) {
   // Link permanently down: the message can never be transmitted.
   net.Connect("mobile", "server", LinkProfile::WaveLan2(),
               std::make_unique<ConstantConnectivity>(false));
-  TransportManager tm(&loop, net.FindHost("mobile"));
+  obs::Registry metrics;
+  TransportManager tm(&loop, net.FindHost("mobile"), &metrics);
 
   Message msg;
   msg.header.message_id = 7;
@@ -113,18 +132,19 @@ TEST(SchedulerAccountingTest, CancelledBytesNotCountedAsSent) {
   ASSERT_TRUE(tm.scheduler()->CancelMessage("server", 7));
   loop.Run();
 
-  const SchedulerStats stats = tm.scheduler()->stats();
-  EXPECT_EQ(stats.messages_enqueued, 1u);
-  EXPECT_EQ(stats.payload_bytes_sent, 0u) << "cancelled payload was charged as sent";
-  EXPECT_GT(stats.payload_bytes_cancelled, 0u);
-  EXPECT_EQ(stats.messages_delivered, 0u);
+  EXPECT_EQ(Count(&metrics, "scheduler.messages_enqueued"), 1u);
+  EXPECT_EQ(Count(&metrics, "scheduler.payload_bytes_sent"), 0u)
+      << "cancelled payload was charged as sent";
+  EXPECT_GT(Count(&metrics, "scheduler.payload_bytes_cancelled"), 0u);
+  EXPECT_EQ(Count(&metrics, "scheduler.messages_delivered"), 0u);
 }
 
 TEST(SchedulerAccountingTest, DeliveredBytesCountedOnceOnSuccess) {
   EventLoop loop;
   Network net(&loop);
   net.Connect("mobile", "server", LinkProfile::Ethernet10());
-  TransportManager tm(&loop, net.FindHost("mobile"));
+  obs::Registry metrics;
+  TransportManager tm(&loop, net.FindHost("mobile"), &metrics);
 
   Message msg;
   msg.header.type = MessageType::kRequest;
@@ -134,35 +154,36 @@ TEST(SchedulerAccountingTest, DeliveredBytesCountedOnceOnSuccess) {
   tm.Send(msg);
   loop.Run();
 
-  const SchedulerStats stats = tm.scheduler()->stats();
-  EXPECT_EQ(stats.messages_delivered, 1u);
+  EXPECT_EQ(Count(&metrics, "scheduler.messages_delivered"), 1u);
   // Compression may shrink the payload; sent bytes equal the wire payload,
   // never zero and never double-counted.
-  EXPECT_GT(stats.payload_bytes_sent, 0u);
-  EXPECT_LE(stats.payload_bytes_sent, stats.payload_bytes_original);
-  EXPECT_EQ(stats.payload_bytes_cancelled, 0u);
+  EXPECT_GT(Count(&metrics, "scheduler.payload_bytes_sent"), 0u);
+  EXPECT_LE(Count(&metrics, "scheduler.payload_bytes_sent"),
+            Count(&metrics, "scheduler.payload_bytes_original"));
+  EXPECT_EQ(Count(&metrics, "scheduler.payload_bytes_cancelled"), 0u);
 }
 
 // --- satellite 3: overlapping serial flushes must not double-charge ---
 
 TEST(StableLogOverlapTest, OverlappingFlushChargesOnlyRemainder) {
   EventLoop loop;
-  StableLog log(&loop);  // serial mode
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);  // serial mode
   log.Append(Bytes(100, 1));
   log.Flush(nullptr);  // write 1 in flight (100 + 16 framing bytes)
   log.Append(Bytes(50, 2));
   log.Flush(nullptr);  // must cover only record 2 (50 + 16 bytes)
   loop.Run();
-  const StableLogStats stats = log.stats();
-  EXPECT_EQ(stats.flushes, 2u);
-  EXPECT_EQ(stats.bytes_flushed, (100u + 16u) + (50u + 16u))
+  EXPECT_EQ(Count(&metrics, "stable_log.flushes"), 2u);
+  EXPECT_EQ(Count(&metrics, "stable_log.bytes_flushed"), (100u + 16u) + (50u + 16u))
       << "overlapping flush re-wrote bytes already in flight";
   EXPECT_TRUE(log.FullyDurable());
 }
 
 TEST(StableLogOverlapTest, RedundantFlushWritesNothingButWaitsForDurability) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   log.Append(Bytes(100, 1));
   TimePoint first_done;
   TimePoint second_done;
@@ -171,7 +192,8 @@ TEST(StableLogOverlapTest, RedundantFlushWritesNothingButWaitsForDurability) {
   // still represents "everything so far is durable".
   log.Flush([&](const Status&) { second_done = loop.now(); });
   loop.Run();
-  EXPECT_EQ(log.stats().flushes, 1u) << "redundant flush issued a device write";
+  EXPECT_EQ(Count(&metrics, "stable_log.flushes"), 1u)
+      << "redundant flush issued a device write";
   EXPECT_GE(second_done, first_done);
   EXPECT_TRUE(log.FullyDurable());
 }
@@ -182,11 +204,14 @@ class DuplicateCacheTest : public ::testing::Test {
  protected:
   DuplicateCacheTest() : net_(&loop_) {
     net_.Connect("mobile", "server", LinkProfile::Ethernet10());
-    client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-    server_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("server"));
-    log_ = std::make_unique<StableLog>(&loop_);
-    client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
-    server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get());
+    client_tm_ =
+        std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+    server_tm_ =
+        std::make_unique<TransportManager>(&loop_, net_.FindHost("server"), &server_metrics_);
+    log_ = std::make_unique<StableLog>(&loop_, &client_metrics_);
+    client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(),
+                                           &client_metrics_);
+    server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get(), &server_metrics_);
     server_->RegisterHandler(
         "count", [this](const RpcRequestBody&, const Message&, QrpcServer::Responder respond) {
           ++executions_;
@@ -209,6 +234,8 @@ class DuplicateCacheTest : public ::testing::Test {
 
   EventLoop loop_;
   Network net_;
+  obs::Registry client_metrics_;
+  obs::Registry server_metrics_;
   std::unique_ptr<TransportManager> client_tm_;
   std::unique_ptr<TransportManager> server_tm_;
   std::unique_ptr<StableLog> log_;
@@ -238,8 +265,8 @@ TEST_F(DuplicateCacheTest, CorruptEntryAnswersDataLossNotSilentOk) {
   EXPECT_EQ(reply.value().code, StatusCode::kDataLoss)
       << "corrupt cache entry produced a fabricated OK response";
   EXPECT_EQ(executions_, 1) << "at-most-once violated";
-  EXPECT_EQ(server_->stats().duplicate_cache_decode_failures, 1u);
-  EXPECT_EQ(server_->stats().duplicates, 1u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.duplicate_cache_decode_failures"), 1u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.duplicates"), 1u);
 }
 
 TEST_F(DuplicateCacheTest, IntactEntryStillReplaysCachedResponse) {
@@ -256,7 +283,7 @@ TEST_F(DuplicateCacheTest, IntactEntryStillReplaysCachedResponse) {
   ASSERT_TRUE(reply.Wait(&loop_));
   EXPECT_EQ(reply.value().code, StatusCode::kOk);
   EXPECT_EQ(executions_, 1);
-  EXPECT_EQ(server_->stats().duplicate_cache_decode_failures, 0u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.duplicate_cache_decode_failures"), 0u);
 }
 
 // --- satellite 4: loss backoff resets when connectivity returns ---
@@ -273,7 +300,8 @@ TEST(SchedulerBackoffTest, ReconnectionResetsLossBackoff) {
   };
   Link* link = net.Connect("mobile", "server", lossy,
                            std::make_unique<IntervalConnectivity>(up));
-  TransportManager tm(&loop, net.FindHost("mobile"));
+  obs::Registry metrics;
+  TransportManager tm(&loop, net.FindHost("mobile"), &metrics);
 
   Message msg;
   msg.header.type = MessageType::kRequest;
@@ -349,10 +377,10 @@ TEST(UnifiedRegistryTest, NodeRegistryCoversAllSubsystems) {
   ASSERT_TRUE(call.result.Wait(bed.loop()));
 
   obs::Registry* reg = client->metrics();
-  EXPECT_EQ(reg->CounterValue("scheduler.messages_delivered"), 1u);
-  EXPECT_EQ(reg->CounterValue("qrpc_client.calls"), 1u);
-  EXPECT_EQ(reg->CounterValue("qrpc_client.completed"), 1u);
-  EXPECT_GE(reg->CounterValue("stable_log.flushes"), 1u);
+  EXPECT_EQ(Count(reg, "scheduler.messages_delivered"), 1u);
+  EXPECT_EQ(Count(reg, "qrpc_client.calls"), 1u);
+  EXPECT_EQ(Count(reg, "qrpc_client.completed"), 1u);
+  EXPECT_GE(Count(reg, "stable_log.flushes"), 1u);
   EXPECT_NE(reg->FindCounter("access_manager.cache_hits"), nullptr);
   EXPECT_NE(reg->FindHistogram("qrpc_client.rpc_seconds"), nullptr);
   EXPECT_EQ(reg->FindHistogram("qrpc_client.rpc_seconds")->count(), 1u);
@@ -364,12 +392,93 @@ TEST(UnifiedRegistryTest, NodeRegistryCoversAllSubsystems) {
   }
   EXPECT_NE(bed.server()->metrics()->Render().find("qrpc_server.requests"),
             std::string::npos);
+}
 
-  // stats() adapters agree with the registry.
-  EXPECT_EQ(client->qrpc()->stats().completed,
-            reg->CounterValue("qrpc_client.completed"));
-  EXPECT_EQ(bed.server()->qrpc()->stats().requests,
-            bed.server()->metrics()->CounterValue("qrpc_server.requests"));
+void RegisterEcho(RoverServerNode* server) {
+  server->qrpc()->RegisterHandler(
+      "echo", [](const RpcRequestBody& req, const Message&, QrpcServer::Responder respond) {
+        RpcResponseBody body;
+        body.result = req.args.empty() ? RpcValue(std::string("")) : req.args[0];
+        respond(body);
+      });
+}
+
+// A component built over a registry that outlived its predecessor sets its
+// gauges from live state, not from the values the old incarnation left.
+TEST(UnifiedRegistryTest, ConstructionSetsGaugesFromLiveState) {
+  EventLoop loop;
+  Network net(&loop);
+  net.Connect("mobile", "server", LinkProfile::WaveLan2());
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
+  log.Append(Bytes(100, 1));
+  metrics.gauge("qrpc_client.log_bytes")->Set(12345);
+  metrics.gauge("scheduler.queue_depth")->Set(7);
+  metrics.gauge("access_manager.degraded")->Set(1);
+
+  TransportManager tm(&loop, net.FindHost("mobile"), &metrics);
+  QrpcClient client(&loop, &tm, &log, &metrics);
+  AccessManager access(&loop, &tm, &client, &metrics);
+  EXPECT_EQ(GaugeValue(&metrics, "qrpc_client.log_bytes"),
+            static_cast<int64_t>(log.TotalBytes()));
+  EXPECT_EQ(GaugeValue(&metrics, "scheduler.queue_depth"), 0);
+  EXPECT_EQ(GaugeValue(&metrics, "access_manager.degraded"), 0);
+}
+
+// A node's registry outlives the components that count into it: a
+// crash-restart rebuilds them, and the new incarnation counts on from the
+// old totals. Gauges describe the rebuilt state at once.
+TEST(UnifiedRegistryTest, NodeCountersSurviveCrashRestart) {
+  Testbed bed;
+  // Up, then a 10 s outage during which the client crashes, then up again.
+  std::vector<IntervalConnectivity::Interval> up = {{At(0), At(10)}, {At(20), At(1e6)}};
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::Ethernet10(),
+                                          std::make_unique<IntervalConnectivity>(up));
+  RegisterEcho(bed.server());
+  const obs::Registry* reg = client->metrics();
+  const obs::Registry* server_reg = bed.server()->metrics();
+  auto echo = [&] {
+    QrpcCall call = client->qrpc()->Call("server", "echo", {std::string("x")});
+    EXPECT_TRUE(call.result.Wait(bed.loop()));
+    EXPECT_TRUE(call.result.value().status.ok());
+  };
+
+  echo();
+  echo();
+  bed.loop()->RunUntil(At(11));
+  // In the outage: one call durable in the log, one still being flushed
+  // when the client crashes. The crash keeps the first and loses the
+  // second, so the rebuilt client's log is smaller than the old one's.
+  QrpcCall durable = client->qrpc()->Call("server", "echo", {std::string("kept")});
+  ASSERT_TRUE(durable.committed.Wait(bed.loop()));
+  client->qrpc()->Call("server", "echo", {std::string("lost")});
+  bed.loop()->RunFor(Duration::Millis(1));
+  ASSERT_FALSE(client->log()->FullyDurable());
+  const int64_t log_bytes_at_crash = GaugeValue(reg, "qrpc_client.log_bytes");
+  const uint64_t frames = Count(reg, "scheduler.frames_sent");
+  EXPECT_EQ(Count(reg, "qrpc_client.calls"), 4u);
+  EXPECT_EQ(Count(reg, "stable_log.appends"), 4u);
+  EXPECT_GE(frames, 2u);
+
+  EXPECT_EQ(client->SimulateCrashAndRestart(), 1u);
+  EXPECT_GT(client->log()->TotalBytes(), 0u);
+  EXPECT_LT(static_cast<int64_t>(client->log()->TotalBytes()), log_bytes_at_crash);
+  EXPECT_EQ(GaugeValue(reg, "qrpc_client.log_bytes"),
+            static_cast<int64_t>(client->log()->TotalBytes()));
+  bed.Run();  // the link returns; the recovered call is answered
+  echo();
+  EXPECT_EQ(Count(reg, "qrpc_client.calls"), 5u);
+  EXPECT_EQ(Count(reg, "qrpc_client.recovered"), 1u);
+  EXPECT_EQ(Count(reg, "stable_log.appends"), 5u);
+  EXPECT_GT(Count(reg, "scheduler.frames_sent"), frames);
+
+  // Server side: requests keep counting across its own crash-restart.
+  const uint64_t requests = Count(server_reg, "qrpc_server.requests");
+  EXPECT_EQ(requests, 4u);
+  bed.server()->SimulateCrashAndRestart();
+  RegisterEcho(bed.server());  // handlers are process state
+  echo();
+  EXPECT_EQ(Count(server_reg, "qrpc_server.requests"), requests + 1);
 }
 
 }  // namespace

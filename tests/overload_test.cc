@@ -37,6 +37,7 @@
 #include "src/transport/overload.h"
 #include "src/transport/scheduler.h"
 #include "src/transport/transport.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -251,11 +252,12 @@ class SchedulerOverloadTest : public ::testing::Test {
     net_.Connect("mobile", "server", LinkProfile::WaveLan2(),
                  std::make_unique<IntervalConnectivity>(up));
     mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
-                                                 options);
+                                                 &metrics_, options);
   }
 
   EventLoop loop_;
   Network net_;
+  obs::Registry metrics_;
   std::unique_ptr<TransportManager> mobile_;
 };
 
@@ -277,25 +279,25 @@ TEST_F(SchedulerOverloadTest, DepthBudgetRejectsBackgroundAndShedsForHigher) {
                  [&](const Status& s) { bg_status[2] = s; });
   EXPECT_EQ(sched->TotalQueueDepth(), 2u);
   EXPECT_EQ(bg_status[2].code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(sched->stats().enqueue_rejected, 1u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.enqueue_rejected"), 1u);
 
   // A default-priority message sheds the newest queued background instead.
   sched->Enqueue(MakeMessage("server", 10, Priority::kDefault));
   EXPECT_EQ(sched->TotalQueueDepth(), 2u);
-  EXPECT_EQ(sched->stats().messages_shed, 1u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.messages_shed"), 1u);
   EXPECT_EQ(bg_status[1].code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(bg_status[0].ok()) << "oldest background shed out of order";
 
   // Another default sheds the remaining background...
   sched->Enqueue(MakeMessage("server", 10, Priority::kDefault));
-  EXPECT_EQ(sched->stats().messages_shed, 2u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.messages_shed"), 2u);
   EXPECT_EQ(bg_status[0].code(), StatusCode::kResourceExhausted);
   // ...and with nothing left to shed, higher-priority traffic is still
   // admitted over budget: refusing it would strand durable application ops
   // (the QRPC layer bounds those upstream).
   sched->Enqueue(MakeMessage("server", 10, Priority::kDefault));
   EXPECT_EQ(sched->TotalQueueDepth(), 3u);
-  EXPECT_EQ(sched->stats().enqueue_rejected, 1u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.enqueue_rejected"), 1u);
 }
 
 TEST_F(SchedulerOverloadTest, ByteBudgetTracksQueuedPayload) {
@@ -314,7 +316,7 @@ TEST_F(SchedulerOverloadTest, ByteBudgetTracksQueuedPayload) {
   EXPECT_EQ(sched->QueuedPayloadBytes(), 60u);
   EXPECT_EQ(sched->TotalQueueDepth(), 1u);
   EXPECT_EQ(bg.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(sched->stats().messages_shed, 1u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.messages_shed"), 1u);
 }
 
 // --- Part 3: retry pacing on a lossy link ----------------------------------
@@ -328,11 +330,12 @@ class LossySchedulerTest : public ::testing::Test {
     wave.loss_prob = loss_prob;
     net_.Connect("mobile", "server", wave);
     mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
-                                                 options);
+                                                 &metrics_, options);
   }
 
   EventLoop loop_;
   Network net_;
+  obs::Registry metrics_;
   std::unique_ptr<TransportManager> mobile_;
 };
 
@@ -347,13 +350,12 @@ TEST_F(LossySchedulerTest, RetryBudgetPacesRetryStorm) {
 
   mobile_->Send(MakeMessage("server", 50, Priority::kDefault));
   loop_.RunUntil(At(10));
-  const SchedulerStats s = mobile_->scheduler()->stats();
   // Unpaced, 100ms-1s jittered backoff would retry ~15-100 times in 10s.
   // The budget holds the long-term rate to refill_per_sec: initial burst of
   // 2 + ~1/s afterwards (+1 for the non-retry first attempt).
-  EXPECT_LE(s.frames_sent, 2 + 10 + 1);
-  EXPECT_GE(s.frames_sent, 5u);
-  EXPECT_GT(s.retry_budget_waits, 0u);
+  EXPECT_LE(Count(&metrics_, "scheduler.frames_sent"), 2u + 10 + 1);
+  EXPECT_GE(Count(&metrics_, "scheduler.frames_sent"), 5u);
+  EXPECT_GT(Count(&metrics_, "scheduler.retry_budget_waits"), 0u);
 }
 
 TEST_F(LossySchedulerTest, BreakerOpensStopsTrafficAndReopensOnFailedProbe) {
@@ -369,18 +371,18 @@ TEST_F(LossySchedulerTest, BreakerOpensStopsTrafficAndReopensOnFailedProbe) {
   // Three losses arrive within ~0.5s; the breaker opens for 2s.
   loop_.RunUntil(At(1));
   EXPECT_EQ(sched->BreakerStateFor("server"), BreakerState::kOpen);
-  EXPECT_EQ(sched->stats().breaker_open_transitions, 1u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.breaker_open_transitions"), 1u);
 
   // While open, nothing is sent.
-  const uint64_t frames_at_open = sched->stats().frames_sent;
+  const uint64_t frames_at_open = Count(&metrics_, "scheduler.frames_sent");
   loop_.RunUntil(At(1.9));
-  EXPECT_EQ(sched->stats().frames_sent, frames_at_open);
+  EXPECT_EQ(Count(&metrics_, "scheduler.frames_sent"), frames_at_open);
 
   // Cooldown passes: a single half-open probe fires, loses, and the breaker
   // reopens with a doubled cooldown.
   loop_.RunUntil(At(3.5));
-  EXPECT_EQ(sched->stats().frames_sent, frames_at_open + 1);
-  EXPECT_EQ(sched->stats().breaker_open_transitions, 2u);
+  EXPECT_EQ(Count(&metrics_, "scheduler.frames_sent"), frames_at_open + 1);
+  EXPECT_EQ(Count(&metrics_, "scheduler.breaker_open_transitions"), 2u);
   EXPECT_EQ(sched->BreakerStateFor("server"), BreakerState::kOpen);
 }
 
@@ -417,14 +419,14 @@ TEST(QrpcOverloadTest, CallBudgetShedsBackgroundFirstNeverDurableOps) {
   ASSERT_TRUE(bg2.ready());
   EXPECT_EQ(bg2.value().status.code(), StatusCode::kResourceExhausted);
   EXPECT_FALSE(bg1.ready());
-  EXPECT_EQ(client->qrpc()->stats().background_shed, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.background_shed"), 1u);
   EXPECT_EQ(client->qrpc()->PendingCount(), 2u);
 
   auto d2 = invoke("d2", Priority::kDefault);
   bed.RunFor(Duration::Millis(100));
   ASSERT_TRUE(bg1.ready());
   EXPECT_EQ(bg1.value().status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(client->qrpc()->stats().background_shed, 2u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.background_shed"), 2u);
 
   // With no background left, a further call is explicitly refused at
   // Call(): kResourceExhausted before anything is logged, never a silent
@@ -433,7 +435,7 @@ TEST(QrpcOverloadTest, CallBudgetShedsBackgroundFirstNeverDurableOps) {
   bed.RunFor(Duration::Millis(100));
   ASSERT_TRUE(d3.ready());
   EXPECT_EQ(d3.value().status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(client->qrpc()->stats().admission_rejected, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.admission_rejected"), 1u);
   EXPECT_EQ(client->qrpc()->PendingCount(), 2u);
   EXPECT_EQ(client->qrpc()->LogDepth(), 2u);
 
@@ -459,7 +461,7 @@ TEST(QrpcOverloadTest, LogByteBudgetRejectsLoggedCallsOnly) {
   QrpcCall logged = client->qrpc()->Call("server", "rover.list", {});
   ASSERT_TRUE(logged.result.Wait(bed.loop()));
   EXPECT_EQ(logged.result.value().status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(client->qrpc()->stats().admission_rejected, 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.admission_rejected"), 1u);
 
   // Unlogged calls consume no stable-log budget and pass.
   QrpcCallOptions unlogged;
@@ -499,8 +501,8 @@ TEST(QrpcOverloadTest, ServerPushbackIsHonoredAndAllCallsEventuallyExecute) {
   ASSERT_TRUE(tokens.ok());
   std::set<std::string> unique(tokens->begin(), tokens->end());
   EXPECT_EQ(unique.size(), 3u);
-  EXPECT_GE(bed.server()->qrpc()->stats().requests_rejected, 2u);
-  EXPECT_GE(client->qrpc()->stats().pushback_honored, 2u);
+  EXPECT_GE(Count(bed.server()->metrics(), "qrpc_server.requests_rejected"), 2u);
+  EXPECT_GE(Count(client->metrics(), "qrpc_client.pushback_honored"), 2u);
   EXPECT_EQ(client->qrpc()->LogDepth(), 0u);
   EXPECT_EQ(client->qrpc()->PendingCount(), 0u);
 }
@@ -536,12 +538,12 @@ TEST(DegradedModeTest, EngagesUnderBacklogShedsPrefetchesRecoversWithHysteresis)
   EXPECT_TRUE(client->access()->Degraded());
   EXPECT_TRUE(last.degraded);
   EXPECT_NE(FormatQueueStatus(last).find("DEGRADED"), std::string::npos);
-  EXPECT_EQ(client->access()->stats().degraded_entered, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.degraded_entered"), 1u);
 
   // ...but prefetches are refused at the door.
   client->access()->Prefetch({"page"});
-  EXPECT_EQ(client->access()->stats().prefetches_shed, 1u);
-  EXPECT_EQ(client->access()->stats().prefetch_issued, 0u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.prefetches_shed"), 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.prefetch_issued"), 0u);
 
   // Pressure lifts: the queue drains, degraded mode exits (depth fell to 0,
   // under the half-threshold hysteresis), the queued ops all executed, and
@@ -555,7 +557,7 @@ TEST(DegradedModeTest, EngagesUnderBacklogShedsPrefetchesRecoversWithHysteresis)
   }
   client->access()->Prefetch({"page"});
   bed.Run();
-  EXPECT_EQ(client->access()->stats().prefetch_issued, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.prefetch_issued"), 1u);
   EXPECT_TRUE(client->access()->HasCached("page"));
 }
 
@@ -583,18 +585,17 @@ TEST(CacheOverflowTest, UnevictableOverflowIsCountedAndGaugeClearsOnRelief) {
   // Both entries are pinned: nothing is evictable, the cache overflows, and
   // the overage is surfaced instead of growing silently.
   EXPECT_GT(client->access()->CacheBytes(), copts.access.cache_capacity_bytes);
-  EXPECT_EQ(client->access()->stats().cache_overflow_events, 1u);
-  const int64_t over =
-      client->metrics()->gauge("access_manager.cache_overflow_bytes")->value();
+  EXPECT_EQ(Count(client->metrics(), "access_manager.cache_overflow_events"), 1u);
+  const int64_t over = GaugeValue(client->metrics(), "access_manager.cache_overflow_bytes");
   EXPECT_EQ(static_cast<size_t>(over),
             client->access()->CacheBytes() - copts.access.cache_capacity_bytes);
 
   // Explicit eviction relieves the overflow; the gauge returns to zero.
   client->access()->Evict("a");
   client->access()->Evict("b");
-  EXPECT_EQ(client->metrics()->gauge("access_manager.cache_overflow_bytes")->value(), 0);
+  EXPECT_EQ(GaugeValue(client->metrics(), "access_manager.cache_overflow_bytes"), 0);
   // One overage episode, one event: the counter did not tick per byte.
-  EXPECT_EQ(client->access()->stats().cache_overflow_events, 1u);
+  EXPECT_EQ(Count(client->metrics(), "access_manager.cache_overflow_events"), 1u);
 }
 
 // --- Part 6: seeded overload chaos -----------------------------------------
@@ -733,8 +734,8 @@ TEST_P(OverloadChaosTest, SustainedOverloadDegradesGracefullyAndDrains) {
   // refill over the whole run, with slack for link-down requeues (counted
   // as retries but exempt from the budget -- reconnection, not loss).
   const double elapsed = (bed.loop()->now() - TimePoint::Epoch()).seconds();
-  const SchedulerStats sched = client->transport()->scheduler()->stats();
-  EXPECT_LE(sched.retries,
+  const obs::Registry* metrics = client->metrics();
+  EXPECT_LE(Count(metrics, "scheduler.retries"),
             copts.scheduler.retry_budget_capacity +
                 copts.scheduler.retry_budget_refill_per_sec * elapsed + 40);
 
@@ -765,12 +766,13 @@ TEST_P(OverloadChaosTest, SustainedOverloadDegradesGracefullyAndDrains) {
   }
 
   // The scenario actually generated overload pressure.
-  const QrpcClientStats qstats = client->qrpc()->stats();
-  const AccessManagerStats astats = client->access()->stats();
-  EXPECT_GT(sched.messages_shed + sched.enqueue_rejected +
-                qstats.admission_rejected + qstats.background_shed +
-                astats.prefetches_shed + astats.degraded_entered +
-                bed.server()->qrpc()->stats().requests_rejected,
+  EXPECT_GT(Count(metrics, "scheduler.messages_shed") +
+                Count(metrics, "scheduler.enqueue_rejected") +
+                Count(metrics, "qrpc_client.admission_rejected") +
+                Count(metrics, "qrpc_client.background_shed") +
+                Count(metrics, "access_manager.prefetches_shed") +
+                Count(metrics, "access_manager.degraded_entered") +
+                Count(bed.server()->metrics(), "qrpc_server.requests_rejected"),
             0u);
 
   // 4. Drained and convergent after the pressure lifted.

@@ -18,6 +18,7 @@
 #include "src/util/delta.h"
 #include "src/tclite/interp.h"
 #include "src/tclite/value.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -346,8 +347,8 @@ TEST_P(CacheBoundTest, RandomWorkloadRespectsCapacity) {
     // Cache never exceeds capacity while nothing is pinned/tentative.
     ASSERT_LE(client->access()->CacheBytes(), 4000u);
   }
-  EXPECT_GT(client->access()->stats().evictions, 0u);
-  EXPECT_GT(client->access()->stats().cache_hits, 0u);
+  EXPECT_GT(Count(client->metrics(), "access_manager.evictions"), 0u);
+  EXPECT_GT(Count(client->metrics(), "access_manager.cache_hits"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheBoundTest, ::testing::Range(uint64_t{1}, uint64_t{6}));

@@ -11,6 +11,7 @@
 #include "src/sim/network.h"
 #include "src/transport/smtp.h"
 #include "src/util/rng.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -103,7 +104,8 @@ class StableLogTest : public ::testing::Test {
 };
 
 TEST_F(StableLogTest, AppendFlushTruncate) {
-  StableLog log(&loop_);
+  obs::Registry metrics;
+  StableLog log(&loop_, &metrics);
   const uint64_t id1 = log.Append(Bytes{1});
   const uint64_t id2 = log.Append(Bytes{2});
   EXPECT_FALSE(log.FullyDurable());
@@ -122,8 +124,10 @@ TEST_F(StableLogTest, FlushCostModelCharged) {
   StableLogCostModel model;
   model.flush_base = Duration::Millis(10);
   model.write_bytes_per_sec = 1e6;
-  StableLog log(&loop_);
-  StableLog paid(&loop_, model);
+  obs::Registry metrics;
+  StableLog log(&loop_, &metrics);
+  obs::Registry paid_metrics;
+  StableLog paid(&loop_, &paid_metrics, model);
   paid.Append(Bytes(10000, 1));
   TimePoint done;
   paid.Flush([&](const Status&) { done = loop_.now(); });
@@ -133,7 +137,8 @@ TEST_F(StableLogTest, FlushCostModelCharged) {
 }
 
 TEST_F(StableLogTest, CrashDropsVolatileRecords) {
-  StableLog log(&loop_);
+  obs::Registry metrics;
+  StableLog log(&loop_, &metrics);
   log.Append(Bytes{1});
   log.Flush(nullptr);
   loop_.Run();
@@ -145,7 +150,8 @@ TEST_F(StableLogTest, CrashDropsVolatileRecords) {
 }
 
 TEST_F(StableLogTest, TornWriteDetectedByCrc) {
-  StableLog log(&loop_);
+  obs::Registry metrics;
+  StableLog log(&loop_, &metrics);
   log.Append(Bytes{1, 2, 3});
   log.Append(Bytes{4, 5, 6});
   log.Flush(nullptr);
@@ -158,7 +164,8 @@ TEST_F(StableLogTest, TornWriteDetectedByCrc) {
 TEST_F(StableLogTest, SerialFlushesQueue) {
   StableLogCostModel model;
   model.flush_base = Duration::Millis(5);
-  StableLog log(&loop_, model);
+  obs::Registry metrics;
+  StableLog log(&loop_, &metrics, model);
   std::vector<double> completions;
   log.Append(Bytes(100, 1));
   log.Flush([&](const Status&) { completions.push_back(loop_.now().seconds()); });
@@ -177,11 +184,14 @@ class QrpcTest : public ::testing::Test {
 
   void Wire(LinkProfile profile, std::unique_ptr<ConnectivitySchedule> schedule = nullptr) {
     net_.Connect("mobile", "server", std::move(profile), std::move(schedule));
-    client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-    server_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("server"));
-    log_ = std::make_unique<StableLog>(&loop_);
-    client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
-    server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get());
+    client_tm_ =
+        std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+    server_tm_ =
+        std::make_unique<TransportManager>(&loop_, net_.FindHost("server"), &server_metrics_);
+    log_ = std::make_unique<StableLog>(&loop_, &client_metrics_);
+    client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(),
+                                           &client_metrics_);
+    server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get(), &server_metrics_);
     server_->RegisterHandler(
         "echo", [](const RpcRequestBody& req, const Message&, QrpcServer::Responder respond) {
           RpcResponseBody body;
@@ -199,6 +209,9 @@ class QrpcTest : public ::testing::Test {
 
   EventLoop loop_;
   Network net_;
+  // One registry per host, as on a toolkit node; a rebuilt client counts on.
+  obs::Registry client_metrics_;
+  obs::Registry server_metrics_;
   std::unique_ptr<TransportManager> client_tm_;
   std::unique_ptr<TransportManager> server_tm_;
   std::unique_ptr<StableLog> log_;
@@ -280,7 +293,7 @@ TEST_F(QrpcTest, UnknownMethodReturnsUnimplemented) {
   QrpcCall call = client_->Call("server", "no.such.method", {});
   ASSERT_TRUE(call.result.Wait(&loop_));
   EXPECT_EQ(call.result.value().status.code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(server_->stats().unknown_methods, 1u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.unknown_methods"), 1u);
 }
 
 TEST_F(QrpcTest, AtMostOnceUnderDuplicateDelivery) {
@@ -301,7 +314,7 @@ TEST_F(QrpcTest, AtMostOnceUnderDuplicateDelivery) {
   client_tm_->Send(std::move(dup));
   loop_.Run();
   EXPECT_EQ(executions_, 1);  // not re-executed
-  EXPECT_EQ(server_->stats().duplicates, 1u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.duplicates"), 1u);
 }
 
 TEST_F(QrpcTest, CrashRecoveryResendsUnansweredRequests) {
@@ -318,8 +331,10 @@ TEST_F(QrpcTest, CrashRecoveryResendsUnansweredRequests) {
   // Crash the client host: rebuild transport + engine over the recovered log.
   log_->SimulateCrash();
   ASSERT_EQ(log_->Recover(), 2u);
-  client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
+  client_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+  client_ =
+      std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), &client_metrics_);
   EXPECT_EQ(client_->RecoverFromLog(), 2u);
   loop_.Run();
   EXPECT_EQ(executions_, 2);  // both executed exactly once
@@ -340,8 +355,10 @@ TEST_F(QrpcTest, RecoveryAfterPartialResponsesOnlyResendsUnanswered) {
   ASSERT_TRUE(pending.committed.Wait(&loop_));
   log_->SimulateCrash();
   log_->Recover();
-  client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
+  client_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+  client_ =
+      std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), &client_metrics_);
   const size_t resent = client_->RecoverFromLog();
   EXPECT_EQ(resent, 1u);
   loop_.Run();
@@ -370,13 +387,18 @@ TEST_F(QrpcTest, ViaRelayDeliversWithoutDirectLink) {
   // No direct mobile<->server link at all.
   net_.Connect("mobile", "relay", LinkProfile::WaveLan2());
   net_.Connect("relay", "server", LinkProfile::Ethernet10());
-  client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  server_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("server"));
-  auto relay_tm = std::make_unique<TransportManager>(&loop_, net_.FindHost("relay"));
+  client_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+  server_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("server"), &server_metrics_);
+  obs::Registry relay_metrics;
+  auto relay_tm =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("relay"), &relay_metrics);
   SmtpRelay relay(&loop_, relay_tm.get());
-  log_ = std::make_unique<StableLog>(&loop_);
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
-  server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get());
+  log_ = std::make_unique<StableLog>(&loop_, &client_metrics_);
+  client_ =
+      std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), &client_metrics_);
+  server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get(), &server_metrics_);
   server_->RegisterHandler(
       "echo", [](const RpcRequestBody& req, const Message&, QrpcServer::Responder respond) {
         RpcResponseBody body;
@@ -394,7 +416,7 @@ TEST_F(QrpcTest, ViaRelayDeliversWithoutDirectLink) {
   // the server schedules the response to "mobile"; with no link it queues
   // forever. The request itself must have been dispatched:
   EXPECT_TRUE(call.committed.ready());
-  EXPECT_EQ(server_->stats().requests, 1u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.requests"), 1u);
 }
 
 TEST_F(QrpcTest, DeadlineFiresWhileDisconnected) {
@@ -415,10 +437,10 @@ TEST_F(QrpcTest, DeadlineFiresWhileDisconnected) {
   EXPECT_EQ(log_->RecordCount(), 0u);
   EXPECT_EQ(client_tm_->scheduler()->TotalQueueDepth(), 0u);
   EXPECT_EQ(client_->PendingCount(), 0u);
-  EXPECT_EQ(client_->stats().deadline_exceeded, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.deadline_exceeded"), 1u);
   loop_.Run();  // link comes up at t=120s; nothing is sent
   EXPECT_EQ(executions_, 0);
-  EXPECT_EQ(server_->stats().requests, 0u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.requests"), 0u);
 }
 
 TEST_F(QrpcTest, DeadlineDoesNotFireWhenResponseArrivesFirst) {
@@ -429,8 +451,8 @@ TEST_F(QrpcTest, DeadlineDoesNotFireWhenResponseArrivesFirst) {
   ASSERT_TRUE(call.result.Wait(&loop_));
   EXPECT_TRUE(call.result.value().status.ok());
   loop_.Run();  // the armed deadline event was cancelled; nothing fires
-  EXPECT_EQ(client_->stats().deadline_exceeded, 0u);
-  EXPECT_EQ(client_->stats().completed, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.deadline_exceeded"), 0u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.completed"), 1u);
 }
 
 TEST_F(QrpcTest, LateResponseAfterDeadlineIsIgnored) {
@@ -446,7 +468,7 @@ TEST_F(QrpcTest, LateResponseAfterDeadlineIsIgnored) {
   loop_.Run();
   EXPECT_EQ(executions_, 1);  // best-effort: it did run at the server
   EXPECT_EQ(client_->PendingCount(), 0u);
-  EXPECT_EQ(client_->stats().completed, 0u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.completed"), 0u);
 }
 
 TEST_F(QrpcTest, EpochObserverFiresOnServerEpochBump) {
@@ -482,7 +504,7 @@ TEST_F(QrpcTest, ServerDispatchCostDelaysResponse) {
   QrpcServerOptions sopts;
   sopts.dispatch_cost = Duration::Millis(100);
   Wire(LinkProfile::Ethernet10());
-  server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get(), sopts);
+  server_ = std::make_unique<QrpcServer>(&loop_, server_tm_.get(), &server_metrics_, sopts);
   server_->RegisterHandler(
       "noop", [](const RpcRequestBody&, const Message&, QrpcServer::Responder respond) {
         respond(RpcResponseBody{});
@@ -502,7 +524,8 @@ TEST(StableLogGroupCommitTest, BurstCoalescesIntoFewWrites) {
   EventLoop loop;
   StableLogCostModel model;
   model.group_commit = true;
-  StableLog log(&loop, model);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics, model);
   int completed = 0;
   for (int i = 0; i < 16; ++i) {
     log.Append(Bytes(64, static_cast<uint8_t>(i)));
@@ -512,7 +535,7 @@ TEST(StableLogGroupCommitTest, BurstCoalescesIntoFewWrites) {
   EXPECT_EQ(completed, 16);
   EXPECT_TRUE(log.FullyDurable());
   // First flush starts immediately; everything else joins the second write.
-  EXPECT_LE(log.stats().flushes, 2u);
+  EXPECT_LE(Count(&metrics, "stable_log.flushes"), 2u);
 }
 
 TEST(StableLogGroupCommitTest, RecordsAppendedDuringWriteJoinNextWrite) {
@@ -520,7 +543,8 @@ TEST(StableLogGroupCommitTest, RecordsAppendedDuringWriteJoinNextWrite) {
   StableLogCostModel model;
   model.group_commit = true;
   model.flush_base = Duration::Millis(10);
-  StableLog log(&loop, model);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics, model);
 
   log.Append(Bytes{1});
   bool first_done = false;
@@ -533,27 +557,29 @@ TEST(StableLogGroupCommitTest, RecordsAppendedDuringWriteJoinNextWrite) {
   loop.Run();
   EXPECT_TRUE(first_done);
   EXPECT_TRUE(log.FullyDurable());
-  EXPECT_EQ(log.stats().flushes, 2u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flushes"), 2u);
 }
 
 TEST(StableLogGroupCommitTest, SerialModeWritesPerFlush) {
   EventLoop loop;
   StableLogCostModel model;
   model.group_commit = false;  // opt out of the (default-on) group commit
-  StableLog log(&loop, model);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics, model);
   for (int i = 0; i < 8; ++i) {
     log.Append(Bytes{static_cast<uint8_t>(i)});
     log.Flush(nullptr);
   }
   loop.Run();
-  EXPECT_EQ(log.stats().flushes, 8u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flushes"), 8u);
 }
 
 TEST(StableLogGroupCommitTest, GroupCommitFasterThanSerialForBursts) {
   EventLoop serial_loop;
   StableLogCostModel serial_model;
   serial_model.group_commit = false;
-  StableLog serial(&serial_loop, serial_model);
+  obs::Registry serial_metrics;
+  StableLog serial(&serial_loop, &serial_metrics, serial_model);
   for (int i = 0; i < 10; ++i) {
     serial.Append(Bytes(32, 0));
     serial.Flush(nullptr);
@@ -563,7 +589,8 @@ TEST(StableLogGroupCommitTest, GroupCommitFasterThanSerialForBursts) {
   EventLoop group_loop;
   StableLogCostModel model;
   model.group_commit = true;
-  StableLog grouped(&group_loop, model);
+  obs::Registry grouped_metrics;
+  StableLog grouped(&group_loop, &grouped_metrics, model);
   for (int i = 0; i < 10; ++i) {
     grouped.Append(Bytes(32, 0));
     grouped.Flush(nullptr);
@@ -589,7 +616,7 @@ TEST_F(QrpcTest, SupersededCallCoalescesWhileQueued) {
   // The predecessor was withdrawn: gone from the engine and the log.
   EXPECT_EQ(client_->PendingCount(), 1u);
   EXPECT_EQ(log_->RecordCount(), 1u);
-  EXPECT_EQ(client_->stats().coalesced, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 1u);
   EXPECT_FALSE(a.result.ready());
 
   loop_.Run();
@@ -616,7 +643,7 @@ TEST_F(QrpcTest, TransmittedCallIsNotCoalesced) {
     b = client_->Call("server", "echo", {std::string("new")}, opts);
   });
   loop_.Run();
-  EXPECT_EQ(client_->stats().coalesced, 0u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 0u);
   ASSERT_TRUE(a.result.ready());
   ASSERT_TRUE(b.result.ready());
   EXPECT_EQ(std::get<std::string>(a.result.value().value), "old");
@@ -634,7 +661,7 @@ TEST_F(QrpcTest, DistinctSupersedeKeysDoNotCoalesce) {
   QrpcCall a = client_->Call("server", "echo", {std::string("a")}, a_opts);
   QrpcCall b = client_->Call("server", "echo", {std::string("b")}, b_opts);
   loop_.Run();
-  EXPECT_EQ(client_->stats().coalesced, 0u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 0u);
   EXPECT_EQ(std::get<std::string>(a.result.value().value), "a");
   EXPECT_EQ(std::get<std::string>(b.result.value().value), "b");
 }
@@ -654,8 +681,10 @@ TEST_F(QrpcTest, CoalescingSurvivesCrashRecovery) {
 
   log_->SimulateCrash();
   ASSERT_EQ(log_->Recover(), 1u);
-  client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
+  client_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+  client_ =
+      std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), &client_metrics_);
   EXPECT_EQ(client_->RecoverFromLog(), 1u);
   loop_.Run();
   EXPECT_EQ(executions_, 1);  // the withdrawn predecessor never executes
@@ -681,14 +710,16 @@ TEST_F(QrpcTest, CrashBetweenCoalesceAndSuccessorFlushResendsPredecessor) {
   ASSERT_EQ(log_->RecordCount(), 1u);
 
   client_->Call("server", "count", {}, opts);
-  EXPECT_EQ(client_->stats().coalesced, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 1u);
   // Crash immediately: the successor's record is appended but not flushed,
   // so it is lost with the volatile tail -- the predecessor's durable
   // record must be what survives.
   log_->SimulateCrash();
   ASSERT_EQ(log_->Recover(), 1u);
-  client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get());
+  client_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+  client_ =
+      std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), &client_metrics_);
   EXPECT_EQ(client_->RecoverFromLog(), 1u);
   loop_.Run();
   EXPECT_EQ(executions_, 1);  // the acknowledged operation is not lost
@@ -701,14 +732,16 @@ TEST(StableLogCompressionTest, CompressedRecordsRoundTripAndRecover) {
   EventLoop loop;
   StableLogCostModel model;
   model.compress_log = true;
-  StableLog log(&loop, model);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics, model);
   const Bytes payload(4096, 7);  // highly compressible
   log.Append(payload);
   log.Flush(nullptr);
   loop.Run();
 
-  EXPECT_EQ(log.stats().records_compressed, 1u);
-  EXPECT_LT(log.stats().stored_bytes_appended, log.stats().raw_bytes_appended);
+  EXPECT_EQ(Count(&metrics, "stable_log.records_compressed"), 1u);
+  EXPECT_LT(Count(&metrics, "stable_log.stored_bytes_appended"),
+            Count(&metrics, "stable_log.raw_bytes_appended"));
   std::vector<StableLog::Record> records = log.DurableRecords();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].compressed);
@@ -728,7 +761,8 @@ TEST(StableLogCompressionTest, IncompressibleRecordStoredRaw) {
   EventLoop loop;
   StableLogCostModel model;
   model.compress_log = true;
-  StableLog log(&loop, model);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics, model);
   Rng rng(77);
   Bytes payload(512);
   for (uint8_t& b : payload) {
@@ -742,7 +776,7 @@ TEST(StableLogCompressionTest, IncompressibleRecordStoredRaw) {
   EXPECT_FALSE(records[0].compressed);  // compression would have expanded it
   EXPECT_EQ(records[0].data, payload);
   EXPECT_EQ(*log.RecordPayload(records[0]), payload);
-  EXPECT_EQ(log.stats().records_compressed, 0u);
+  EXPECT_EQ(Count(&metrics, "stable_log.records_compressed"), 0u);
 }
 
 }  // namespace
@@ -773,7 +807,8 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
                                               TimePoint::Epoch() + Duration::Seconds(300)));
   QrpcClientOptions copts;
   copts.max_outstanding_calls = 5;
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), copts);
+  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(),
+                                         &client_metrics_, copts);
 
   std::vector<std::shared_ptr<TrackedCall>> calls;
   auto issue = [&](const char* label, QrpcCallOptions opts = {}) {
@@ -794,7 +829,7 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
   supersede.supersede_key = "obj";
   auto pred = issue("coalesced-predecessor", supersede);
   auto succ = issue("coalescing-successor", supersede);
-  EXPECT_EQ(client_->stats().coalesced, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 1u);
 
   QrpcCallOptions with_deadline;
   with_deadline.deadline = Duration::Seconds(30);
@@ -813,13 +848,13 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
   // victim; the background call after that finds nothing sheddable left
   // and is refused at Call().
   auto kept3 = issue("overflow-foreground");
-  EXPECT_EQ(client_->stats().background_shed, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.background_shed"), 1u);
   auto rejected = issue("admission-rejected", background);
-  EXPECT_EQ(client_->stats().admission_rejected, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.admission_rejected"), 1u);
 
   loop_.RunUntil(TimePoint::Epoch() + Duration::Seconds(60));  // deadline fired at 30s
-  EXPECT_EQ(client_->stats().deadline_exceeded, 1u);
-  EXPECT_EQ(client_->stats().cancelled, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.deadline_exceeded"), 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.cancelled"), 1u);
 
   // Terminal paths resolved exactly once, with their own status.
   EXPECT_EQ(canc->resolutions, 1);
@@ -846,13 +881,15 @@ TEST_F(QrpcTest, ResolutionMatrixEveryPathResolvesExactlyOnce) {
   // deadline/cancel/shed records must not resurrect.
   log_->SimulateCrash();
   ASSERT_EQ(log_->Recover(), 4u);
-  client_tm_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(), copts);
+  client_tm_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &client_metrics_);
+  client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(),
+                                         &client_metrics_, copts);
   EXPECT_EQ(client_->RecoverFromLog(), 4u);
   loop_.Run();
 
   EXPECT_EQ(executions_, 4);  // succ, kept1, kept2, kept3: exactly once each
-  EXPECT_EQ(server_->stats().duplicates, 0u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.duplicates"), 0u);
   EXPECT_EQ(client_->PendingCount(), 0u);
   EXPECT_EQ(log_->RecordCount(), 0u);
   // Promises owned by the dead incarnation stay unresolved -- recovery
@@ -877,11 +914,11 @@ TEST_F(QrpcTest, DeadlineOnCoalescedPredecessorIsDisarmed) {
   QrpcCallOptions succ_opts;
   succ_opts.supersede_key = "obj";
   QrpcCall succ = client_->Call("server", "count", {}, succ_opts);
-  EXPECT_EQ(client_->stats().coalesced, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 1u);
 
   loop_.RunUntil(TimePoint::Epoch() + Duration::Seconds(60));
   EXPECT_FALSE(pred.result.ready());  // the disarmed deadline never fired
-  EXPECT_EQ(client_->stats().deadline_exceeded, 0u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.deadline_exceeded"), 0u);
 
   loop_.Run();
   ASSERT_TRUE(pred.result.ready());
@@ -901,7 +938,7 @@ TEST_F(QrpcTest, CancelOfCoalescedChainResolvesPredecessorOnce) {
   opts.supersede_key = "obj";
   QrpcCall pred = client_->Call("server", "count", {}, opts);
   QrpcCall succ = client_->Call("server", "count", {}, opts);
-  EXPECT_EQ(client_->stats().coalesced, 1u);
+  EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 1u);
 
   // The predecessor already left the engine: it has no independent call to
   // cancel any more, so Cancel must say so rather than touch the chain.
@@ -920,7 +957,7 @@ TEST_F(QrpcTest, CancelOfCoalescedChainResolvesPredecessorOnce) {
 
   loop_.Run();  // link comes up at t=300s; nothing is transmitted
   EXPECT_EQ(executions_, 0);
-  EXPECT_EQ(server_->stats().requests, 0u);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.requests"), 0u);
   EXPECT_EQ(client_->PendingCount(), 0u);
 }
 

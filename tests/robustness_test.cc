@@ -19,6 +19,7 @@
 #include "src/transport/transport.h"
 #include "src/util/compress.h"
 #include "src/util/rng.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -173,8 +174,8 @@ proc add {n} { global state; set state [expr {$state + $n}]; return $state }
             std::to_string(kOps));
   // Corruption really happened on the wire, and every damaged frame was
   // dropped at decode rather than handed upward.
-  EXPECT_GT(client->transport()->frames_corrupt_dropped() +
-                bed.server()->transport()->frames_corrupt_dropped(),
+  EXPECT_GT(Count(client->metrics(), "transport.frames_corrupt_dropped") +
+                Count(bed.server()->metrics(), "transport.frames_corrupt_dropped"),
             0u);
   simcheck.CheckQuiesced();
   EXPECT_TRUE(simcheck.ok()) << simcheck.Report();

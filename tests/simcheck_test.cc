@@ -22,6 +22,7 @@
 #include "src/core/toolkit.h"
 #include "src/store/server_store.h"
 #include "src/tclite/value.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace check {
@@ -226,14 +227,14 @@ TEST(SimCheckRegressionTest, DuplicateBeforeResponseDurableIsDroppedNotReplayed)
   bed.loop()->RunUntil(At(1.05));
   ASSERT_TRUE(StepUntil(bed.loop(), At(3.0), [&] {
     return *bed.server()->store()->VersionOf("counter") == 2 &&
-           bed.server()->stable_store()->wal_for_test()->WriteInFlight();
+           bed.server()->stable_store()->wal()->WriteInFlight();
   }));
   ASSERT_EQ(client->SimulateCrashAndRestart(false), 1u);
   ASSERT_TRUE(StepUntil(bed.loop(), At(3.0), [&] {
-    return bed.server()->qrpc()->stats().duplicates >= 1;
+    return Count(bed.server()->metrics(), "qrpc_server.duplicates") >= 1;
   }));
   // The duplicate was dropped, not replayed: the client still waits.
-  ASSERT_TRUE(bed.server()->stable_store()->wal_for_test()->WriteInFlight());
+  ASSERT_TRUE(bed.server()->stable_store()->wal()->WriteInFlight());
   EXPECT_EQ(client->qrpc()->PendingCount(), 1u);
 
   // Crash with the journal write still in flight: the transaction -- and
@@ -292,8 +293,8 @@ TEST(SimCheckRegressionTest, RecoveredCallsRefusedByTheSchedulerRetryNotShed) {
   // The restart resends all four in one burst; the two past the queue bound
   // are refused by the scheduler and must be retried, not withdrawn.
   EXPECT_EQ(client->SimulateCrashAndRestart(false), 4u);
-  EXPECT_GE(client->qrpc()->stats().recovered_retries, 1u);
-  EXPECT_EQ(client->qrpc()->stats().background_shed, 0u);
+  EXPECT_GE(Count(client->metrics(), "qrpc_client.recovered_retries"), 1u);
+  EXPECT_EQ(Count(client->metrics(), "qrpc_client.background_shed"), 0u);
   EXPECT_EQ(client->qrpc()->PendingCount(), 4u);
 
   bed.Run();

@@ -32,6 +32,7 @@
 #include "src/store/server_store.h"
 #include "src/tclite/value.h"
 #include "src/util/status.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -54,7 +55,8 @@ TimePoint At(double seconds) {
 
 TEST(StableDeviceTest, TransientFlushErrorsRetriedWithinBudget) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   log.device()->InjectTransientWriteErrors(2);
   const uint64_t id = log.Append(BytesFromString("record"));
 
@@ -65,9 +67,9 @@ TEST(StableDeviceTest, TransientFlushErrorsRetriedWithinBudget) {
   EXPECT_TRUE(outcome.ok()) << outcome.message();
   ASSERT_NE(log.FindRecord(id), nullptr);
   EXPECT_TRUE(log.FindRecord(id)->durable);
-  EXPECT_EQ(log.stats().flush_transient_errors, 2u);
-  EXPECT_EQ(log.stats().flush_retries, 2u);
-  EXPECT_EQ(log.stats().flush_failures, 0u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_transient_errors"), 2u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_retries"), 2u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_failures"), 0u);
   EXPECT_EQ(log.device()->stats().transient_errors, 2u);
 }
 
@@ -75,7 +77,8 @@ TEST(StableDeviceTest, FlushFailsTerminallyOnceRetryBudgetExhausted) {
   EventLoop loop;
   StableLogCostModel costs;
   ASSERT_EQ(costs.flush_max_retries, 4u);  // budget: 1 initial + 4 retries
-  StableLog log(&loop, costs);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics, costs);
   log.device()->InjectTransientWriteErrors(5);
   const uint64_t id = log.Append(BytesFromString("doomed"));
 
@@ -86,8 +89,8 @@ TEST(StableDeviceTest, FlushFailsTerminallyOnceRetryBudgetExhausted) {
   EXPECT_EQ(outcome.code(), StatusCode::kUnavailable);
   ASSERT_NE(log.FindRecord(id), nullptr);
   EXPECT_FALSE(log.FindRecord(id)->durable);  // never acked durable
-  EXPECT_EQ(log.stats().flush_retries, 4u);
-  EXPECT_EQ(log.stats().flush_failures, 1u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_retries"), 4u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_failures"), 1u);
 
   // The device is healthy again (forced errors consumed): the next flush
   // makes the same record durable.
@@ -100,7 +103,8 @@ TEST(StableDeviceTest, FlushFailsTerminallyOnceRetryBudgetExhausted) {
 
 TEST(StableDeviceTest, FullDeviceRefusesFlushUntilSpaceFrees) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   log.device()->SetCapacityBytes(16);
   log.Append(Bytes(64));
   EXPECT_FALSE(log.HasSpaceFor(1));
@@ -109,7 +113,7 @@ TEST(StableDeviceTest, FullDeviceRefusesFlushUntilSpaceFrees) {
   log.Flush([&outcome](const Status& s) { outcome = s; });
   loop.Run();
   EXPECT_EQ(outcome.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(log.stats().flush_enospc, 1u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_enospc"), 1u);
 
   log.device()->SetCapacityBytes(0);  // operator frees space
   Status retried = UnavailableError("callback never ran");
@@ -121,7 +125,8 @@ TEST(StableDeviceTest, FullDeviceRefusesFlushUntilSpaceFrees) {
 
 TEST(StableDeviceTest, PermanentSyncFailureIsFailStop) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   int fail_stops = 0;
   log.SetFailStopHandler([&fail_stops] { ++fail_stops; });
   log.device()->FailSyncPermanently();
@@ -133,7 +138,7 @@ TEST(StableDeviceTest, PermanentSyncFailureIsFailStop) {
   EXPECT_EQ(outcome.code(), StatusCode::kDataLoss);
   EXPECT_EQ(fail_stops, 1);
   EXPECT_TRUE(log.device()->sync_failed());
-  EXPECT_EQ(log.stats().flush_sync_failures, 1u);
+  EXPECT_EQ(Count(&metrics, "stable_log.flush_sync_failures"), 1u);
 
   // Operator swaps the device: flushes work again.
   log.device()->Repair();
@@ -145,7 +150,8 @@ TEST(StableDeviceTest, PermanentSyncFailureIsFailStop) {
 
 TEST(StableDeviceTest, TornTailStillTruncatesSilently) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   log.Append(BytesFromString("first"));
   log.Append(BytesFromString("second"));
   log.Flush(nullptr);
@@ -156,8 +162,8 @@ TEST(StableDeviceTest, TornTailStillTruncatesSilently) {
   EXPECT_EQ(report.valid, 1u);
   EXPECT_EQ(report.torn_tail_dropped, 1u);
   EXPECT_TRUE(report.quarantined.empty());
-  EXPECT_EQ(log.stats().torn_tail_records_dropped, 1u);
-  EXPECT_EQ(log.stats().records_quarantined, 0u);
+  EXPECT_EQ(Count(&metrics, "stable_log.torn_tail_records_dropped"), 1u);
+  EXPECT_EQ(Count(&metrics, "stable_log.records_quarantined"), 0u);
 }
 
 // Regression for the copy bug the zero-copy refactor exposed: the WAL
@@ -168,7 +174,8 @@ TEST(StableDeviceTest, TornTailStillTruncatesSilently) {
 // must land in a private detached copy.
 TEST(StableDeviceTest, BitRotNeverDamagesSharedInRamPayload) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   const std::string text = "the application still holds this payload";
   Buffer payload(BytesFromString(text));
   Buffer app_copy = payload;  // the app's handle, e.g. an in-flight message
@@ -190,7 +197,8 @@ TEST(StableDeviceTest, BitRotNeverDamagesSharedInRamPayload) {
 
 TEST(StableDeviceTest, InteriorCorruptionQuarantinedOnRecovery) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   log.Append(BytesFromString("aaaa"));
   log.Append(BytesFromString("bbbb"));
   log.Append(BytesFromString("cccc"));
@@ -206,12 +214,13 @@ TEST(StableDeviceTest, InteriorCorruptionQuarantinedOnRecovery) {
   ASSERT_EQ(report.quarantined.size(), 1u);
   EXPECT_EQ(report.quarantined[0], rotted);
   EXPECT_EQ(log.FindRecord(rotted), nullptr);
-  EXPECT_EQ(log.stats().records_quarantined, 1u);
+  EXPECT_EQ(Count(&metrics, "stable_log.records_quarantined"), 1u);
 }
 
 TEST(StableDeviceTest, ScrubQuarantinesRotBeforeItSurfacesAtRecovery) {
   EventLoop loop;
-  StableLog log(&loop);
+  obs::Registry metrics;
+  StableLog log(&loop, &metrics);
   log.Append(BytesFromString("aaaa"));
   log.Append(BytesFromString("bbbb"));
   log.Append(BytesFromString("cccc"));
@@ -253,7 +262,7 @@ TEST(StorageFaultClientTest, TerminalFlushFailureFailsCallWithoutAck) {
   EXPECT_EQ(doomed.value().status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(m->qrpc()->LogDepth(), 0u);      // failed record withdrawn
   EXPECT_EQ(m->qrpc()->PendingCount(), 0u);
-  EXPECT_EQ(m->qrpc()->stats().storage_flush_failures, 1u);
+  EXPECT_EQ(Count(m->metrics(), "qrpc_client.storage_flush_failures"), 1u);
   EXPECT_EQ(m->storage_fail_stops(), 0u);    // transient exhaustion != fail-stop
   // The call never executed: its token must not be on the server.
   EXPECT_EQ(bed.server()->store()->Get("journal")->data, "");
@@ -305,7 +314,7 @@ TEST(StorageFaultClientTest, FullDeviceRefusesAdmissionUntilTruncationFrees) {
   EXPECT_GE(refused, 1);
   EXPECT_GE(succeeded, 1);
   EXPECT_TRUE(degraded_while_full);
-  EXPECT_GE(m->qrpc()->stats().storage_refused, 1u);
+  EXPECT_GE(Count(m->metrics(), "qrpc_client.storage_refused"), 1u);
 
   // Responses drained the log, truncation freed device space, and the
   // degraded mode cleared on its own: new durable calls are admitted again.
@@ -371,9 +380,9 @@ TEST(StorageFaultClientTest, RecoveryQuarantineMarksCachedImportsStale) {
   bed.Run();
 
   ASSERT_NE(rotted, 0u);  // the interior record (late-a) was damaged
-  EXPECT_EQ(m->log()->stats().records_quarantined, 1u);
+  EXPECT_EQ(Count(m->metrics(), "stable_log.records_quarantined"), 1u);
   // The quarantine conservatively invalidated every cached import.
-  EXPECT_GE(m->access()->stats().storage_stale_marks, 1u);
+  EXPECT_GE(Count(m->metrics(), "access_manager.storage_stale_marks"), 1u);
   // The surviving record was resent once the link returned; the quarantined
   // one is honestly lost (its call never acked OK to the application).
   const std::string journal = bed.server()->store()->Get("journal")->data;
@@ -525,8 +534,8 @@ TEST(StorageFaultServerTest, PeriodicScrubTimerQuarantinesRotBetweenCrashes) {
   // The timer re-arms itself, so drive the loop by horizon rather than to
   // quiescence: three periods pass, the first one after the rot finds it.
   bed.loop()->RunUntil(At(16));
-  EXPECT_GE(bed.server()->metrics()->counter("storage_scrub.runs")->value(), 3u);
-  EXPECT_EQ(bed.server()->metrics()->counter("storage_scrub.quarantined")->value(),
+  EXPECT_GE(Count(bed.server()->metrics(), "storage_scrub.runs"), 3u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "storage_scrub.quarantined"),
             1u);
 
   bed.server()->SimulateCrashAndRestart(false);
@@ -567,9 +576,9 @@ TEST(StorageFaultClientTest, PeriodicScrubFailsRottedCallWithoutCrash) {
   bed.loop()->RunUntil(At(40));
 
   ASSERT_NE(rotted, 0u);  // the interior record (late-a) was damaged
-  EXPECT_GE(m->metrics()->counter("storage_scrub.runs")->value(), 4u);
-  EXPECT_EQ(m->metrics()->counter("storage_scrub.quarantined")->value(), 1u);
-  EXPECT_GE(m->access()->stats().storage_stale_marks, 1u);
+  EXPECT_GE(Count(m->metrics(), "storage_scrub.runs"), 4u);
+  EXPECT_EQ(Count(m->metrics(), "storage_scrub.quarantined"), 1u);
+  EXPECT_GE(Count(m->metrics(), "access_manager.storage_stale_marks"), 1u);
   // The intact record was resent once the link returned; the quarantined
   // call failed loudly instead of acking data it cannot replay.
   EXPECT_EQ(bed.server()->store()->Get("journal")->data, "late-b");

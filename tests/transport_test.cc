@@ -12,6 +12,7 @@
 #include "src/transport/scheduler.h"
 #include "src/transport/smtp.h"
 #include "src/transport/transport.h"
+#include "tests/test_metrics.h"
 
 namespace rover {
 namespace {
@@ -85,8 +86,10 @@ class SchedulerTest : public ::testing::Test {
   void SetUpHosts(LinkProfile profile,
                   std::unique_ptr<ConnectivitySchedule> schedule = nullptr) {
     link_ = net_.Connect("mobile", "server", std::move(profile), std::move(schedule));
-    mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-    server_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("server"));
+    mobile_ =
+        std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &mobile_metrics_);
+    server_ =
+        std::make_unique<TransportManager>(&loop_, net_.FindHost("server"), &server_metrics_);
     server_->SetHandler(MessageType::kRequest,
                         [this](const Message& msg) { received_.push_back(msg); });
   }
@@ -94,6 +97,8 @@ class SchedulerTest : public ::testing::Test {
   EventLoop loop_;
   Network net_;
   Link* link_ = nullptr;
+  obs::Registry mobile_metrics_;
+  obs::Registry server_metrics_;
   std::unique_ptr<TransportManager> mobile_;
   std::unique_ptr<TransportManager> server_;
   std::vector<Message> received_;
@@ -134,7 +139,8 @@ TEST_F(SchedulerTest, PriorityOrdering) {
                  TimePoint::Epoch() + Duration::Seconds(10)));
   SchedulerOptions opts;
   opts.batching = false;  // one frame per message so order is observable
-  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), opts);
+  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
+                                               &mobile_metrics_, opts);
 
   Message background = MakeMessage("server", 10, Priority::kBackground);
   background.header.message_id = 1;
@@ -163,7 +169,7 @@ TEST_F(SchedulerTest, BatchingCoalescesMessages) {
   loop_.Run();
   EXPECT_EQ(received_.size(), 8u);
   // All 8 were waiting at reconnect; batching should use 1 frame.
-  EXPECT_EQ(mobile_->scheduler()->stats().frames_sent, 1u);
+  EXPECT_EQ(Count(&mobile_metrics_, "scheduler.frames_sent"), 1u);
   EXPECT_EQ(link_->stats().frames_delivered, 1u);
 }
 
@@ -174,20 +180,23 @@ TEST_F(SchedulerTest, NoBatchingSendsIndividually) {
                  TimePoint::Epoch() + Duration::Seconds(10)));
   SchedulerOptions opts;
   opts.batching = false;
-  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), opts);
+  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
+                                               &mobile_metrics_, opts);
   for (int i = 0; i < 8; ++i) {
     mobile_->Send(MakeMessage("server", 20));
   }
   loop_.Run();
   EXPECT_EQ(received_.size(), 8u);
-  EXPECT_EQ(mobile_->scheduler()->stats().frames_sent, 8u);
+  EXPECT_EQ(Count(&mobile_metrics_, "scheduler.frames_sent"), 8u);
 }
 
 TEST_F(SchedulerTest, PicksFastestUpLink) {
   net_.Connect("mobile", "server", LinkProfile::Cslip144());
   Link* ethernet = net_.Connect("mobile", "server", LinkProfile::Ethernet10());
-  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  server_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("server"));
+  mobile_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &mobile_metrics_);
+  server_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("server"), &server_metrics_);
   server_->SetHandler(MessageType::kRequest,
                       [this](const Message& msg) { received_.push_back(msg); });
   mobile_->Send(MakeMessage("server", 100));
@@ -200,8 +209,10 @@ TEST_F(SchedulerTest, FallsBackToSlowLinkWhenFastIsDown) {
   Link* slow = net_.Connect("mobile", "server", LinkProfile::Cslip144());
   net_.Connect("mobile", "server", LinkProfile::Ethernet10(),
                std::make_unique<ConstantConnectivity>(false));
-  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"));
-  server_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("server"));
+  mobile_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), &mobile_metrics_);
+  server_ =
+      std::make_unique<TransportManager>(&loop_, net_.FindHost("server"), &server_metrics_);
   server_->SetHandler(MessageType::kRequest,
                       [this](const Message& msg) { received_.push_back(msg); });
   mobile_->Send(MakeMessage("server", 100));
@@ -219,7 +230,7 @@ TEST_F(SchedulerTest, RetriesAfterRandomLoss) {
   }
   loop_.Run();
   EXPECT_EQ(received_.size(), 20u);  // reliability despite loss
-  EXPECT_GT(mobile_->scheduler()->stats().retries, 0u);
+  EXPECT_GT(Count(&mobile_metrics_, "scheduler.retries"), 0u);
 }
 
 TEST_F(SchedulerTest, SurvivesFlappingLink) {
@@ -239,7 +250,8 @@ TEST_F(SchedulerTest, CompressionShrinksCompressiblePayloads) {
   SchedulerOptions opts;
   opts.compress = true;
   SetUpHosts(LinkProfile::Cslip144());
-  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"), opts);
+  mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
+                                               &mobile_metrics_, opts);
 
   Message msg;
   msg.header.type = MessageType::kRequest;
@@ -254,8 +266,8 @@ TEST_F(SchedulerTest, CompressionShrinksCompressiblePayloads) {
   ASSERT_EQ(received_.size(), 1u);
   // Receiver sees the decompressed payload.
   EXPECT_EQ(received_[0].payload.ToString(), text);
-  const auto& stats = mobile_->scheduler()->stats();
-  EXPECT_LT(stats.payload_bytes_sent, stats.payload_bytes_original / 4);
+  EXPECT_LT(Count(&mobile_metrics_, "scheduler.payload_bytes_sent"),
+            Count(&mobile_metrics_, "scheduler.payload_bytes_original") / 4);
 }
 
 TEST_F(SchedulerTest, QueueObserverSeesDepthChanges) {
@@ -311,7 +323,7 @@ TEST_F(SchedulerTest, TtlExpiresQueuedMessageWhileDisconnected) {
   EXPECT_TRUE(expired_fired);
   EXPECT_EQ(expired_status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(mobile_->scheduler()->TotalQueueDepth(), 1u);
-  EXPECT_EQ(mobile_->scheduler()->stats().messages_expired, 1u);
+  EXPECT_EQ(Count(&mobile_metrics_, "scheduler.messages_expired"), 1u);
 
   // Only the TTL-free message goes out when the link comes up.
   loop_.Run();
@@ -330,7 +342,7 @@ TEST_F(SchedulerTest, TtlDoesNotDropDeliverableMessage) {
   loop_.Run();
   EXPECT_TRUE(delivered_ok);
   EXPECT_EQ(received_.size(), 1u);
-  EXPECT_EQ(mobile_->scheduler()->stats().messages_expired, 0u);
+  EXPECT_EQ(Count(&mobile_metrics_, "scheduler.messages_expired"), 0u);
 }
 
 TEST_F(SchedulerTest, AttachedLinkReevaluatesStaleUpWakeup) {
@@ -371,8 +383,8 @@ TEST_F(SchedulerTest, CancelRacingInFlightFrameDeliversOnce) {
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_EQ(delivered_calls, 1);
   EXPECT_TRUE(last_status.ok());
-  EXPECT_EQ(mobile_->scheduler()->stats().messages_delivered, 1u);
-  EXPECT_EQ(mobile_->scheduler()->stats().payload_bytes_cancelled, 0u);
+  EXPECT_EQ(Count(&mobile_metrics_, "scheduler.messages_delivered"), 1u);
+  EXPECT_EQ(Count(&mobile_metrics_, "scheduler.payload_bytes_cancelled"), 0u);
 }
 
 TEST_F(SchedulerTest, CancelBeforeTransmissionWithdrawsMessage) {
@@ -390,7 +402,7 @@ TEST_F(SchedulerTest, CancelBeforeTransmissionWithdrawsMessage) {
   EXPECT_EQ(mobile_->scheduler()->TotalQueueDepth(), 0u);
   loop_.Run();
   EXPECT_TRUE(received_.empty());
-  EXPECT_GT(mobile_->scheduler()->stats().payload_bytes_cancelled, 0u);
+  EXPECT_GT(Count(&mobile_metrics_, "scheduler.payload_bytes_cancelled"), 0u);
 }
 
 // --- Indexed-scheduler semantics: cancel / supersede-withdraw / rebind /
@@ -409,9 +421,12 @@ TEST(SchedulerIndexTest, CancelRebindShedInterleavings) {
               std::make_unique<IntervalConnectivity>(up));
   SchedulerOptions opts;
   opts.max_queued_messages = 6;
-  TransportManager mobile(&loop, net.FindHost("mobile"), opts);
-  TransportManager s1(&loop, net.FindHost("s1"));
-  TransportManager s2(&loop, net.FindHost("s2"));
+  obs::Registry mobile_metrics;
+  TransportManager mobile(&loop, net.FindHost("mobile"), &mobile_metrics, opts);
+  obs::Registry s1_metrics;
+  TransportManager s1(&loop, net.FindHost("s1"), &s1_metrics);
+  obs::Registry s2_metrics;
+  TransportManager s2(&loop, net.FindHost("s2"), &s2_metrics);
   std::vector<uint64_t> s1_ids, s2_ids;
   s1.SetHandler(MessageType::kRequest,
                 [&](const Message& m) { s1_ids.push_back(m.header.message_id); });
@@ -435,7 +450,7 @@ TEST(SchedulerIndexTest, CancelRebindShedInterleavings) {
 
   // Over-budget default enqueue sheds the NEWEST background (id 6).
   enqueue("s2", 7, Priority::kDefault);
-  EXPECT_EQ(sched->stats().messages_shed, 1u);
+  EXPECT_EQ(Count(&mobile_metrics, "scheduler.messages_shed"), 1u);
   EXPECT_EQ(sched->QueueDepthFor("s2"), 2u);
 
   // Mid-queue withdraw (the supersede path): tombstones entry 2 in place.
@@ -483,7 +498,8 @@ TEST(SchedulerIndexTest, SeededRandomOpsKeepIndexAndCountsConsistent) {
                     Duration::Seconds(1e6), Duration::Zero(),
                     TimePoint::Epoch() + Duration::Seconds(1e6)));
   }
-  TransportManager mobile(&loop, net.FindHost("mobile"));
+  obs::Registry mobile_metrics;
+  TransportManager mobile(&loop, net.FindHost("mobile"), &mobile_metrics);
   NetworkScheduler* sched = mobile.scheduler();
 
   Rng rng(20260808);
@@ -574,9 +590,12 @@ TEST(SmtpTest, RelayStoresAndForwards) {
                   Duration::Seconds(1e6), Duration::Zero(),
                   TimePoint::Epoch() + Duration::Seconds(30)));
 
-  TransportManager mobile(&loop, net.FindHost("mobile"));
-  TransportManager relay_tm(&loop, net.FindHost("relay"));
-  TransportManager server(&loop, net.FindHost("server"));
+  obs::Registry mobile_metrics;
+  TransportManager mobile(&loop, net.FindHost("mobile"), &mobile_metrics);
+  obs::Registry relay_metrics;
+  TransportManager relay_tm(&loop, net.FindHost("relay"), &relay_metrics);
+  obs::Registry server_metrics;
+  TransportManager server(&loop, net.FindHost("server"), &server_metrics);
   SmtpRelay relay(&loop, &relay_tm);
 
   std::vector<Message> received;
@@ -602,8 +621,10 @@ TEST(SmtpTest, MalformedEnvelopeCounted) {
   EventLoop loop;
   Network net(&loop);
   net.Connect("a", "relay", LinkProfile::Ethernet10());
-  TransportManager a(&loop, net.FindHost("a"));
-  TransportManager relay_tm(&loop, net.FindHost("relay"));
+  obs::Registry a_metrics;
+  TransportManager a(&loop, net.FindHost("a"), &a_metrics);
+  obs::Registry relay_metrics;
+  TransportManager relay_tm(&loop, net.FindHost("relay"), &relay_metrics);
   SmtpRelay relay(&loop, &relay_tm);
 
   Message bogus;
@@ -637,7 +658,8 @@ TEST(SchedulerScaleTest, LinkLookupWorkPerSendIsFlatInAttachedLinks) {
     for (int i = 0; i < peers; ++i) {
       net.Connect("server", "c" + std::to_string(i), LinkProfile::Ethernet10());
     }
-    TransportManager server(&loop, net.FindHost("server"));
+    obs::Registry server_metrics;
+    TransportManager server(&loop, net.FindHost("server"), &server_metrics);
     constexpr uint64_t kSends = 64;
     ResetHostLinkScanSteps();
     for (uint64_t i = 0; i < kSends; ++i) {
@@ -647,7 +669,7 @@ TEST(SchedulerScaleTest, LinkLookupWorkPerSendIsFlatInAttachedLinks) {
       server.scheduler()->Enqueue(std::move(m));
       loop.Run();
     }
-    EXPECT_EQ(server.scheduler()->stats().messages_delivered, kSends);
+    EXPECT_EQ(Count(&server_metrics, "scheduler.messages_delivered"), kSends);
     return HostLinkScanSteps() / kSends;
   };
   const uint64_t small = scans_per_send(16);
@@ -662,7 +684,8 @@ TEST(SchedulerScaleTest, ParkedQueueWakesViaPeerObserverOnLateAttach) {
   EventLoop loop;
   Network net(&loop);
   Host* mobile = net.AddHost("mobile");
-  TransportManager transport(&loop, mobile);
+  obs::Registry transport_metrics;
+  TransportManager transport(&loop, mobile, &transport_metrics);
   TransportManager* server = nullptr;
 
   Status delivered = InternalError("pending");
@@ -675,7 +698,8 @@ TEST(SchedulerScaleTest, ParkedQueueWakesViaPeerObserverOnLateAttach) {
   EXPECT_FALSE(delivered.ok());  // parked: nothing to send over
 
   net.Connect("mobile", "server", LinkProfile::Ethernet10());
-  TransportManager server_transport(&loop, net.FindHost("server"));
+  obs::Registry server_transport_metrics;
+  TransportManager server_transport(&loop, net.FindHost("server"), &server_transport_metrics);
   server = &server_transport;
   (void)server;
   loop.Run();
