@@ -85,17 +85,18 @@ RunResult Measure(const LinkProfile& profile, int calls_per_sec) {
   RunResult r;
   r.offered = static_cast<uint64_t>(total) * 2;
 
-  // Sample the client's memory through the loaded window.
-  auto sampler = std::make_shared<std::function<void()>>();
-  *sampler = [&r, &bed, client, sampler] {
+  // Sample the client's memory through the loaded window. The sampler
+  // re-arms itself by reference: the frame owns it, so no ownership cycle.
+  std::function<void()> sampler;
+  sampler = [&r, &bed, client, &sampler] {
     r.max_log_bytes = std::max(r.max_log_bytes, client->log()->TotalBytes());
     r.max_queued_bytes =
         std::max(r.max_queued_bytes, client->transport()->scheduler()->QueuedPayloadBytes());
     if (bed.loop()->now() < TimePoint::Epoch() + Duration::Seconds(kWindowSeconds + 5)) {
-      bed.loop()->ScheduleAfter(Duration::Millis(250), *sampler);
+      bed.loop()->ScheduleAfter(Duration::Millis(250), sampler);
     }
   };
-  bed.loop()->ScheduleAt(TimePoint::Epoch() + Duration::Seconds(1), *sampler);
+  bed.loop()->ScheduleAt(TimePoint::Epoch() + Duration::Seconds(1), sampler);
 
   bed.Run();
 

@@ -433,7 +433,7 @@ void SimCheck::CheckQuiesced() {
     // Conservation: at quiesce each gauge equals the structure it mirrors.
     // The gauges and TotalQueueDepth() now read the same incremental
     // counters, so the independent witness is AuditQueues(): a structural
-    // walk of every destination queue, skipping tombstones.
+    // walk of every destination queue and its message-id index.
     const SchedulerQueueAudit audit = node->transport()->scheduler()->AuditQueues();
     if (!audit.per_dest_consistent) {
       AddViolation("queue-index-drift", host,

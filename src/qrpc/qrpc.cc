@@ -39,9 +39,7 @@ QrpcClient::QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* 
   // A client rebuilt after a crash starts out of storage-degraded mode over
   // the surviving log; the gauges must say so before anything can fire.
   g_storage_degraded_->Set(0);
-  if (log_ != nullptr) {
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-  }
+  g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
   transport_->SetHandler(MessageType::kResponse,
                          [this](const Message& msg) { HandleResponse(msg); });
   if (!options_.failover_primary.empty() && !options_.failover_backup.empty()) {
@@ -192,7 +190,7 @@ bool QrpcClient::OverBudget(size_t record_size, bool logged) const {
       outstanding_.size() + 1 > options_.max_outstanding_calls) {
     return true;
   }
-  if (logged && options_.max_log_bytes > 0 && log_ != nullptr &&
+  if (logged && options_.max_log_bytes > 0 &&
       log_->TotalBytes() + record_size > options_.max_log_bytes) {
     return true;
   }
@@ -205,9 +203,9 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
   QrpcCall call;
   call.rpc_id = next_rpc_id_++;
   Trace(call.rpc_id, obs::RpcEvent::kEnqueued);
+  const bool logged = call_options.log_request;
   if (check_ != nullptr) {
-    check_->OnCallIssued(self(), call.rpc_id,
-                         call_options.log_request && log_ != nullptr);
+    check_->OnCallIssued(self(), call.rpc_id, logged);
   }
 
   RpcRequestBody request;
@@ -217,7 +215,6 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
   // message payload, and failover re-dispatch all share it by refcount.
   Buffer body(request.Encode());
 
-  const bool logged = call_options.log_request && log_ != nullptr;
   Bytes record;
   if (logged) {
     record = EncodeLogRecord(call.rpc_id, dest, call_options, body);
@@ -233,17 +230,8 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
       }
     }
     if (OverBudget(record.size(), logged)) {
-      c_admission_rejected_->Increment();
-      Trace(call.rpc_id, obs::RpcEvent::kShed);
-      call.committed.Set(loop_->now());
-      QrpcResult result;
-      result.status = ResourceExhaustedError("qrpc admission: over call/log budget");
-      result.completed_at = loop_->now();
-      if (check_ != nullptr) {
-        check_->OnCallResolved(self(), call.rpc_id, "admission", false);
-      }
-      call.result.Set(std::move(result));
-      return call;
+      return RefuseAdmission(std::move(call), c_admission_rejected_,
+                             "qrpc admission: over call/log budget");
     }
   }
 
@@ -253,18 +241,8 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
   // after truncation frees room clears the mode.
   if (logged && !log_->HasSpaceFor(record.size())) {
     EnterStorageDegraded();
-    c_storage_refused_->Increment();
-    Trace(call.rpc_id, obs::RpcEvent::kShed);
-    call.committed.Set(loop_->now());
-    QrpcResult result;
-    result.status =
-        ResourceExhaustedError("qrpc admission: stable device full (storage degraded)");
-    result.completed_at = loop_->now();
-    if (check_ != nullptr) {
-      check_->OnCallResolved(self(), call.rpc_id, "admission", false);
-    }
-    call.result.Set(std::move(result));
-    return call;
+    return RefuseAdmission(std::move(call), c_storage_refused_,
+                           "qrpc admission: stable device full (storage degraded)");
   }
   MaybeClearStorageDegraded();
 
@@ -355,6 +333,27 @@ QrpcCall QrpcClient::Call(const std::string& dest, const std::string& method, Rp
   return call;
 }
 
+QrpcCall QrpcClient::RefuseAdmission(QrpcCall call, obs::Counter* counter,
+                                     const char* why) {
+  counter->Increment();
+  Trace(call.rpc_id, obs::RpcEvent::kShed);
+  call.committed.Set(loop_->now());
+  QrpcResult result;
+  result.status = ResourceExhaustedError(why);
+  result.completed_at = loop_->now();
+  if (check_ != nullptr) {
+    check_->OnCallResolved(self(), call.rpc_id, "admission", false);
+  }
+  call.result.Set(std::move(result));
+  return call;
+}
+
+void QrpcClient::DropRecord(uint64_t log_record_id) {
+  log_->RemoveRecord(log_record_id);
+  answered_log_records_.erase(log_record_id);
+  g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+}
+
 void QrpcClient::ForgetSupersedeKey(const Outstanding& out, uint64_t rpc_id) {
   if (out.supersede_key.empty()) {
     return;
@@ -406,13 +405,11 @@ bool QrpcClient::TryCoalescePredecessor(const std::string& dest, const std::stri
   for (CoalescedPred& inherited : pred.coalesced_preds) {
     successor.coalesced_preds.push_back(std::move(inherited));
   }
-  if (pred.log_record_id != 0 && log_ != nullptr) {
+  if (pred.log_record_id != 0) {
     if (options_.unsafe_eager_coalesce_withdraw_for_test) {
       // Deliberately wrong (see QrpcClientOptions): drop the predecessor's
       // record now, before the successor's record is durable.
-      log_->RemoveRecord(pred.log_record_id);
-      answered_log_records_.erase(pred.log_record_id);
-      g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
+      DropRecord(pred.log_record_id);
       if (!pred.call.committed.ready()) {
         pred.call.committed.Set(loop_->now());
       }
@@ -443,61 +440,62 @@ bool QrpcClient::TryCoalescePredecessor(const std::string& dest, const std::stri
 }
 
 void QrpcClient::ResolveCoalescedPreds(Outstanding& out) {
-  if (out.coalesced_preds.empty()) {
-    return;
-  }
   for (CoalescedPred& pred : out.coalesced_preds) {
-    if (log_ != nullptr) {
-      log_->RemoveRecord(pred.log_record_id);
-      answered_log_records_.erase(pred.log_record_id);
-    }
+    DropRecord(pred.log_record_id);
     if (!pred.committed.ready()) {
       pred.committed.Set(loop_->now());
     }
   }
   out.coalesced_preds.clear();
-  if (log_ != nullptr) {
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-  }
 }
 
-void QrpcClient::HandleDeadline(uint64_t rpc_id) {
+bool QrpcClient::Retire(uint64_t rpc_id, const Status& status, const Exit& exit) {
   auto it = outstanding_.find(rpc_id);
   if (it == outstanding_.end()) {
-    return;  // answered or cancelled in the same tick
+    return false;  // answered, or already retired by another exit
   }
   Outstanding out = std::move(it->second);
   outstanding_.erase(it);
   ForgetSupersedeKey(out, rpc_id);
-  // Withdraw the durable record and the queued message through the same
-  // machinery as Cancel(): an expired request must not be resent after a
-  // crash, and must not occupy queue space waiting for connectivity.
-  if (out.log_record_id != 0 && log_ != nullptr) {
-    log_->RemoveRecord(out.log_record_id);
-    answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-    if (check_ != nullptr) {
+  if (out.deadline_event != kInvalidEventId) {
+    loop_->Cancel(out.deadline_event);  // a no-op when it is the deadline firing
+  }
+  // Withdraw the record: a call that left without a response must not be
+  // resent after a crash, and its bytes stop counting against the log
+  // budget.
+  if (out.log_record_id != 0) {
+    DropRecord(out.log_record_id);
+    if (exit.report_withdrawn && check_ != nullptr) {
       check_->OnCallWithdrawn(self(), rpc_id);
     }
   }
   transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
-  // Coalesced predecessors resolve with this call's deadline error and
-  // must likewise not be resent after a crash.
+  // Coalesced predecessors resolve with this call's status and must likewise
+  // not be resent after a crash.
   ResolveCoalescedPreds(out);
-  c_deadline_exceeded_->Increment();
-  Trace(rpc_id, obs::RpcEvent::kDeadlineExceeded);
+  exit.counter->Increment();
+  Trace(rpc_id, exit.event);
   // Resolve both promises: a waiter on `committed` must not hang on a call
-  // that exited the engine before its flush completed.
+  // that left the engine before its flush completed. This is not a
+  // durability acknowledgement -- OnCallDurable never fired for it.
   if (!out.call.committed.ready()) {
     out.call.committed.Set(loop_->now());
   }
-  QrpcResult result;
-  result.status = DeadlineExceededError("rpc deadline exceeded");
-  result.completed_at = loop_->now();
-  if (check_ != nullptr) {
-    check_->OnCallResolved(self(), rpc_id, "deadline", false);
+  if (!out.call.result.ready()) {
+    QrpcResult result;
+    result.status = status;
+    result.completed_at = loop_->now();
+    if (check_ != nullptr) {
+      check_->OnCallResolved(self(), rpc_id, exit.reason, false);
+    }
+    out.call.result.Set(std::move(result));
   }
-  out.call.result.Set(std::move(result));
+  return true;
+}
+
+void QrpcClient::HandleDeadline(uint64_t rpc_id) {
+  Retire(rpc_id, DeadlineExceededError("rpc deadline exceeded"),
+         {"deadline", obs::RpcEvent::kDeadlineExceeded, c_deadline_exceeded_, true});
 }
 
 size_t QrpcClient::ShedBackgroundCalls(size_t needed) {
@@ -520,10 +518,7 @@ size_t QrpcClient::ShedBackgroundCalls(size_t needed) {
 
 void QrpcClient::HandleSchedulerDrop(uint64_t rpc_id, const Status& status) {
   auto it = outstanding_.find(rpc_id);
-  if (it == outstanding_.end()) {
-    return;  // already answered, cancelled, or deadline-expired
-  }
-  if (it->second.recovered && it->second.log_record_id != 0 && log_ != nullptr) {
+  if (it != outstanding_.end() && it->second.recovered && it->second.log_record_id != 0) {
     // A crash-recovered request is the stable-log record of an operation
     // whose caller died with the old incarnation. Nobody observes a shed
     // status, and withdrawing the record would silently lose an
@@ -532,38 +527,7 @@ void QrpcClient::HandleSchedulerDrop(uint64_t rpc_id, const Status& status) {
     RetryRecoveredDispatch(rpc_id);
     return;
   }
-  Outstanding out = std::move(it->second);
-  outstanding_.erase(it);
-  ForgetSupersedeKey(out, rpc_id);
-  if (out.deadline_event != kInvalidEventId) {
-    loop_->Cancel(out.deadline_event);
-  }
-  // Withdraw the durable record: a shed request must not resurrect on crash
-  // recovery, and its bytes must stop counting against the log budget.
-  if (out.log_record_id != 0 && log_ != nullptr) {
-    log_->RemoveRecord(out.log_record_id);
-    answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-    if (check_ != nullptr) {
-      check_->OnCallWithdrawn(self(), rpc_id);
-    }
-  }
-  transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
-  ResolveCoalescedPreds(out);
-  c_background_shed_->Increment();
-  Trace(rpc_id, obs::RpcEvent::kShed);
-  if (!out.call.committed.ready()) {
-    out.call.committed.Set(loop_->now());
-  }
-  if (!out.call.result.ready()) {
-    QrpcResult result;
-    result.status = status;
-    result.completed_at = loop_->now();
-    if (check_ != nullptr) {
-      check_->OnCallResolved(self(), rpc_id, "shed", false);
-    }
-    out.call.result.Set(std::move(result));
-  }
+  Retire(rpc_id, status, {"shed", obs::RpcEvent::kShed, c_background_shed_, true});
 }
 
 void QrpcClient::RetryRecoveredDispatch(uint64_t rpc_id) {
@@ -579,8 +543,7 @@ void QrpcClient::RetryRecoveredDispatch(uint64_t rpc_id) {
         if (it == outstanding_.end()) {
           return;  // answered or cancelled meanwhile
         }
-        const StableLog::Record* rec =
-            log_ == nullptr ? nullptr : log_->FindRecord(it->second.log_record_id);
+        const StableLog::Record* rec = log_->FindRecord(it->second.log_record_id);
         if (rec == nullptr) {
           return;
         }
@@ -612,58 +575,26 @@ void QrpcClient::EnterStorageDegraded() {
 }
 
 void QrpcClient::MaybeClearStorageDegraded() {
-  if (!storage_degraded_ || log_ == nullptr || !log_->HasSpaceFor(0)) {
+  if (!storage_degraded_ || !log_->HasSpaceFor(0)) {
     return;
   }
   storage_degraded_ = false;
   g_storage_degraded_->Set(0);
 }
 
-void QrpcClient::FailCallOnStorage(uint64_t rpc_id, const Status& status) {
-  auto it = outstanding_.find(rpc_id);
-  if (it == outstanding_.end()) {
-    return;
-  }
-  Outstanding out = std::move(it->second);
-  outstanding_.erase(it);
-  ForgetSupersedeKey(out, rpc_id);
-  if (out.deadline_event != kInvalidEventId) {
-    loop_->Cancel(out.deadline_event);
-  }
-  if (out.log_record_id != 0 && log_ != nullptr) {
-    // The record is either non-durable (failed flush) or already quarantined
-    // out of the log; RemoveRecord is a no-op in the latter case.
-    log_->RemoveRecord(out.log_record_id);
-    answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-  }
-  transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
-  // Predecessors this call coalesced resolve with its storage error, the
-  // same shape as the deadline and shed exits.
-  ResolveCoalescedPreds(out);
-  Trace(rpc_id, obs::RpcEvent::kShed);
-  if (!out.call.committed.ready()) {
-    // Unblocks waiters; this is NOT a durability acknowledgement -- the
-    // result carries the storage error and OnCallDurable never fired.
-    out.call.committed.Set(loop_->now());
-  }
-  if (!out.call.result.ready()) {
-    QrpcResult result;
-    result.status = status;
-    result.completed_at = loop_->now();
-    if (check_ != nullptr) {
-      check_->OnCallResolved(self(), rpc_id, "storage", false);
-    }
-    out.call.result.Set(std::move(result));
-  }
+void QrpcClient::FailCallOnStorage(uint64_t rpc_id, const Status& status,
+                                   obs::Counter* counter) {
+  // The record is either non-durable (failed flush) or already quarantined
+  // out of the log (RemoveRecord is then a no-op): nothing durable is
+  // withdrawn, so OnCallWithdrawn is not reported.
+  Retire(rpc_id, status, {"storage", obs::RpcEvent::kShed, counter, false});
 }
 
 void QrpcClient::HandleFlushFailure(uint64_t rpc_id, const Status& status) {
-  c_storage_flush_failures_->Increment();
   if (status.code() == StatusCode::kResourceExhausted) {
     EnterStorageDegraded();
   }
-  FailCallOnStorage(rpc_id, status);
+  FailCallOnStorage(rpc_id, status, c_storage_flush_failures_);
 }
 
 size_t QrpcClient::FailQuarantinedRecords(const std::vector<uint64_t>& log_record_ids) {
@@ -681,9 +612,8 @@ size_t QrpcClient::FailQuarantinedRecords(const std::vector<uint64_t>& log_recor
     if (!found) {
       continue;  // no live call backed by this record (e.g. crash recovery)
     }
-    c_storage_quarantined_calls_->Increment();
-    FailCallOnStorage(rpc_id,
-                      DataLossError("stable log record quarantined (bit rot)"));
+    FailCallOnStorage(rpc_id, DataLossError("stable log record quarantined (bit rot)"),
+                      c_storage_quarantined_calls_);
     ++failed;
   }
   return failed;
@@ -728,7 +658,7 @@ bool QrpcClient::MaybeHonorPushback(const Message& msg, const RpcResponseBody& b
     return false;
   }
   const Outstanding& out = it->second;
-  if (out.log_record_id == 0 || log_ == nullptr) {
+  if (out.log_record_id == 0) {
     return false;  // unlogged call: no durable copy to re-send; surface the error
   }
   if (!pushback_budget_.enabled() || !pushback_budget_.TryConsume(loop_->now())) {
@@ -823,9 +753,6 @@ void QrpcClient::HandleResponse(const Message& msg) {
 }
 
 void QrpcClient::MaybeTruncateLog() {
-  if (log_ == nullptr) {
-    return;
-  }
   uint64_t front = log_->FrontRecordId();
   while (front != 0 && answered_log_records_.count(front) > 0) {
     answered_log_records_.erase(front);
@@ -838,41 +765,8 @@ void QrpcClient::MaybeTruncateLog() {
 }
 
 bool QrpcClient::Cancel(uint64_t rpc_id) {
-  auto it = outstanding_.find(rpc_id);
-  if (it == outstanding_.end()) {
-    return false;
-  }
-  Outstanding out = std::move(it->second);
-  outstanding_.erase(it);
-  ForgetSupersedeKey(out, rpc_id);
-  if (out.deadline_event != kInvalidEventId) {
-    loop_->Cancel(out.deadline_event);
-  }
-  if (out.log_record_id != 0 && log_ != nullptr) {
-    log_->RemoveRecord(out.log_record_id);
-    answered_log_records_.erase(out.log_record_id);
-    g_log_bytes_->Set(static_cast<int64_t>(log_->TotalBytes()));
-    if (check_ != nullptr) {
-      check_->OnCallWithdrawn(self(), rpc_id);
-    }
-  }
-  transport_->scheduler()->CancelMessage(ResolveDest(out.dest), rpc_id);
-  ResolveCoalescedPreds(out);
-  c_cancelled_->Increment();
-  Trace(rpc_id, obs::RpcEvent::kCancelled);
-  if (!out.call.committed.ready()) {
-    out.call.committed.Set(loop_->now());  // left the engine pre-commit
-  }
-  if (!out.call.result.ready()) {
-    QrpcResult result;
-    result.status = CancelledError("call cancelled by application");
-    result.completed_at = loop_->now();
-    if (check_ != nullptr) {
-      check_->OnCallResolved(self(), rpc_id, "cancel", false);
-    }
-    out.call.result.Set(std::move(result));
-  }
-  return true;
+  return Retire(rpc_id, CancelledError("call cancelled by application"),
+                {"cancel", obs::RpcEvent::kCancelled, c_cancelled_, true});
 }
 
 std::vector<uint64_t> QrpcClient::OutstandingIds() const {
@@ -885,9 +779,6 @@ std::vector<uint64_t> QrpcClient::OutstandingIds() const {
 }
 
 size_t QrpcClient::RecoverFromLog() {
-  if (log_ == nullptr) {
-    return 0;
-  }
   std::vector<ParsedLogRecord> resends;
   std::vector<uint64_t> resent_ids;
   for (const StableLog::Record& rec : log_->DurableRecords()) {

@@ -127,7 +127,9 @@ struct QrpcCall {
 
 class QrpcClient {
  public:
-  // Counts into `metrics` under "qrpc_client.".
+  // Logs requests to `log`, which is required; a call made with
+  // QrpcCallOptions::log_request = false skips it. Counts into `metrics`
+  // under "qrpc_client.".
   QrpcClient(EventLoop* loop, TransportManager* transport, StableLog* log,
              obs::Registry* metrics, QrpcClientOptions options = {});
 
@@ -256,6 +258,24 @@ class QrpcClient {
   void DispatchToScheduler(uint64_t rpc_id, const std::string& dest, Buffer body,
                            const QrpcCallOptions& call_options);
   void HandleResponse(const Message& msg);
+  // How a call leaves the engine without a response.
+  struct Exit {
+    const char* reason;       // OnCallResolved reason
+    obs::RpcEvent event;      // span event
+    obs::Counter* counter;    // bumped once per retired call
+    bool report_withdrawn;    // report the dropped record as OnCallWithdrawn
+  };
+  // The one teardown for calls that leave without a response (cancel,
+  // deadline, shed, storage failure): forgets the supersede key, cancels
+  // the deadline, drops the log record, cancels the queued message,
+  // resolves coalesced predecessors, then resolves both promises with
+  // `status`. Returns false when `rpc_id` is not outstanding.
+  bool Retire(uint64_t rpc_id, const Status& status, const Exit& exit);
+  // Refuses a call at Call() before anything is logged: counts it on
+  // `counter` and resolves both promises with kResourceExhausted(`why`).
+  QrpcCall RefuseAdmission(QrpcCall call, obs::Counter* counter, const char* why);
+  // Removes a record that will never be answered and refreshes log_bytes.
+  void DropRecord(uint64_t log_record_id);
   void HandleDeadline(uint64_t rpc_id);
   // Handles a kUnavailable response carrying a retry-after hint: keeps the
   // call outstanding and re-dispatches it after the hint, within the
@@ -288,9 +308,9 @@ class QrpcClient {
   // acknowledge, withdraw the (non-durable) record, fail the call through
   // the "storage" path, and enter storage-degraded mode on ENOSPC.
   void HandleFlushFailure(uint64_t rpc_id, const Status& status);
-  // Shared teardown: resolves `rpc_id` with `status` via the "storage" path
-  // and withdraws its record/queue entry.
-  void FailCallOnStorage(uint64_t rpc_id, const Status& status);
+  // Retires `rpc_id` with `status` via the "storage" path, counting it on
+  // `counter`.
+  void FailCallOnStorage(uint64_t rpc_id, const Status& status, obs::Counter* counter);
   void EnterStorageDegraded();
   void MaybeClearStorageDegraded();
   bool OverBudget(size_t body_size, bool logged) const;

@@ -27,10 +27,6 @@ class ConnectivitySchedule {
 
   // Earliest time >= t at which the link is up (t itself if up at t).
   TimePoint NextUpTime(TimePoint t) const;
-
-  // True when IsUp is true for every t. Lets connectivity indexes answer
-  // reachability in O(1) without consulting the schedule per query.
-  virtual bool IsAlwaysUp() const { return false; }
 };
 
 // Permanently up (or permanently down).
@@ -39,7 +35,6 @@ class ConstantConnectivity : public ConnectivitySchedule {
   explicit ConstantConnectivity(bool up) : up_(up) {}
   bool IsUp(TimePoint t) const override { return up_; }
   TimePoint NextTransition(TimePoint t) const override;
-  bool IsAlwaysUp() const override { return up_; }
 
  private:
   bool up_;

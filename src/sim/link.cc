@@ -244,7 +244,6 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   // point of view the link was just slow.
   TimePoint deliver_at = arrival;
   if (profile_.reorder_prob > 0.0 && loss_rng_.NextBool(profile_.reorder_prob)) {
-    ++stats_.frames_reordered;
     deliver_at += profile_.reorder_delay;
   }
 
@@ -270,7 +269,6 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
     }
   });
   if (duplicate) {
-    ++stats_.frames_duplicated;
     loop_->ScheduleAt(deliver_at + profile_.latency, [this, dir, frame_ptr, from_host] {
       if (handlers_[dir]) {
         handlers_[dir](std::move(*frame_ptr), from_host);

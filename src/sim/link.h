@@ -67,8 +67,6 @@ struct LinkStats {
   uint64_t frames_lost = 0;      // loss model or mid-transfer disconnect
   uint64_t frames_corrupted = 0;
   uint64_t frames_rejected = 0;  // link was down at send time
-  uint64_t frames_duplicated = 0;  // delivered a second time to the receiver
-  uint64_t frames_reordered = 0;   // held back so later frames overtake
   uint64_t payload_bytes = 0;    // delivered payload
   uint64_t wire_bytes = 0;       // payload + packet header overhead, delivered or not
 };
@@ -105,12 +103,8 @@ class Link {
   void ForceDown();
   bool forced_down() const { return forced_down_; }
 
-  // True when the schedule keeps the link up at every t (and it has not
-  // been forced down). Basis for O(1) reachability indexes.
-  bool IsAlwaysUp() const { return !forced_down_ && schedule_->IsAlwaysUp(); }
-
   // Observers fire on administrative state changes (currently: ForceDown).
-  // Hosts register one per endpoint to keep their peer indexes current.
+  // Hosts register one per endpoint to wake their peer observers.
   void AddStateObserver(std::function<void()> observer);
 
   void SetFrameHandler(const std::string& receiving_host, FrameHandler handler);

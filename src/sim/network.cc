@@ -29,11 +29,7 @@ bool Host::CanReach(const std::string& peer) const {
     ++g_link_scan_steps;
     return false;
   }
-  if (it->second.always_up > 0) {
-    ++g_link_scan_steps;
-    return true;
-  }
-  // No always-up link: consult this peer's (few) scheduled links.
+  // The peer index keeps this to the peer's own (few) links.
   for (Link* link : it->second.links) {
     ++g_link_scan_steps;
     if (link->IsUp()) {
@@ -82,16 +78,7 @@ void Host::OnLinkForcedDown(const std::string& peer) {
   if (it == peers_.end()) {
     return;
   }
-  PeerEntry& entry = it->second;
-  // Recompute rather than decrement: ForceDown is rare and idempotence
-  // (plus future state kinds) is simpler to keep correct this way.
-  entry.always_up = 0;
-  for (Link* link : entry.links) {
-    if (link->IsAlwaysUp()) {
-      ++entry.always_up;
-    }
-  }
-  NotifyPeerChange(entry);
+  NotifyPeerChange(it->second);
 }
 
 void Host::Attach(Link* link) {
@@ -99,9 +86,6 @@ void Host::Attach(Link* link) {
   const std::string peer = link->PeerOf(name_);
   PeerEntry& entry = peers_[peer];
   entry.links.push_back(link);
-  if (link->IsAlwaysUp()) {
-    ++entry.always_up;
-  }
   link->AddStateObserver([this, peer] { OnLinkForcedDown(peer); });
   link->SetFrameHandler(name_, [this](Bytes frame, const std::string& from) {
     HandleFrame(std::move(frame), from);

@@ -49,8 +49,8 @@ class Host {
   // into the host's peer index: valid until the next Attach, never a copy.
   const std::vector<Link*>& LinksTo(const std::string& peer) const;
 
-  // True if any link to `peer` is currently up. O(1) when the peer has an
-  // always-up link; otherwise scans just that peer's links.
+  // True if any link to `peer` is currently up. Scans just that peer's
+  // links.
   bool CanReach(const std::string& peer) const;
 
   // Registers the upcall for frames arriving on any attached link. `owner`
@@ -73,9 +73,6 @@ class Host {
 
   struct PeerEntry {
     std::vector<Link*> links;
-    // Count of links that are up at every t (always-up schedule, not
-    // forced down): the CanReach fast path.
-    int always_up = 0;
     std::vector<std::pair<const void*, std::function<void()>>> observers;
   };
 

@@ -144,7 +144,6 @@ void RoverServer::WireDurability() {
       // undurable cached response instead would wedge the call forever.
       // kDataLoss (permanent sync failure) already fail-stops via the WAL's
       // own handler; kUnavailable (retries exhausted) needs ours.
-      ++stats_.wal_flush_failures;
       if (flushed.code() == StatusCode::kUnavailable && wal_failure_handler_) {
         wal_failure_handler_();
       }
@@ -215,7 +214,6 @@ void RoverServer::TryReclaimWalSpace() {
         });
         return;
       }
-      ++stats_.wal_flush_failures;
       FinishWalRecovery(false);
     });
   });

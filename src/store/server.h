@@ -55,7 +55,6 @@ struct RoverServerStats {
   uint64_t wal_space_exhausted = 0;    // journal flushes refused with ENOSPC
   uint64_t wal_space_recoveries = 0;   // degraded episodes ended by compaction
   uint64_t wal_compactions_forced = 0; // compactions run to reclaim WAL space
-  uint64_t wal_flush_failures = 0;     // journal flushes terminally failed
 };
 
 // Invalidation control-message payload helpers (shared with the client

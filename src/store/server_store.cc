@@ -133,7 +133,6 @@ RecoveredServerState ServerStableStore::Recover() {
   // already invalidates client-side trust in this server's state; surface
   // the count so callers and checkers can tell silent loss from detected.
   out.interior_quarantined = report.quarantined.size();
-  stats_.wal_interior_quarantined += report.quarantined.size();
   out.epoch = epoch_;
   if (snapshot_.valid) {
     out.object_image = snapshot_.object_image;
@@ -156,14 +155,9 @@ RecoveredServerState ServerStableStore::Recover() {
     }
     out.wal.push_back(std::move(*txn));
   }
-  stats_.wal_records_dropped += out.records_dropped;
   return out;
 }
 
-StableLog::ScrubReport ServerStableStore::ScrubWal() {
-  StableLog::ScrubReport report = wal_.Scrub();
-  stats_.wal_interior_quarantined += report.quarantined.size();
-  return report;
-}
+StableLog::ScrubReport ServerStableStore::ScrubWal() { return wal_.Scrub(); }
 
 }  // namespace rover

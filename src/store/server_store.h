@@ -52,10 +52,6 @@ struct ServerStoreStats {
   uint64_t transactions_logged = 0;
   uint64_t snapshots_written = 0;
   uint64_t recoveries = 0;
-  uint64_t wal_records_dropped = 0;  // torn-tail/undecodable records rejected
-  // Interior-corrupt WAL records (bit rot on an acknowledged transaction)
-  // quarantined by recovery or a scrub -- detected data loss, not a torn tail.
-  uint64_t wal_interior_quarantined = 0;
 };
 
 // One replayable store mutation inside a transaction.

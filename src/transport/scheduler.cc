@@ -1,7 +1,7 @@
 #include "src/transport/scheduler.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -10,6 +10,9 @@
 #include "src/util/logging.h"
 
 namespace rover {
+namespace {
+constexpr int kBackgroundPrio = static_cast<int>(Priority::kBackground);
+}  // namespace
 
 NetworkScheduler::NetworkScheduler(EventLoop* loop, Host* host, obs::Registry* metrics,
                                    SchedulerOptions options)
@@ -80,57 +83,44 @@ BreakerState NetworkScheduler::BreakerStateFor(const std::string& dest) const {
   return q == nullptr ? BreakerState::kClosed : q->breaker.state();
 }
 
-void NetworkScheduler::NoteLiveAdded(DestId id, int prio, size_t payload_bytes) {
+void NetworkScheduler::Put(DestId id, Pending p, bool at_front) {
   DestQueue& q = dests_[id];
+  const int prio = static_cast<int>(p.msg.header.priority);
+  const size_t bytes = p.msg.payload.size();
+  const uint64_t message_id = p.msg.header.message_id;
+  PendingList& pq = q.by_priority[prio];
+  q.index.try_emplace(message_id, pq.insert(at_front ? pq.begin() : pq.end(), std::move(p)));
   if (q.queued_count++ == 0) {
     nonempty_dests_.insert(id);
   }
-  q.queued_bytes += payload_bytes;
-  if (prio == static_cast<int>(Priority::kBackground) && q.background_count++ == 0) {
+  q.queued_bytes += bytes;
+  if (prio == kBackgroundPrio && q.background_count++ == 0) {
     background_dests_.insert(id);
   }
   ++total_queued_;
-  queued_payload_bytes_ += payload_bytes;
+  queued_payload_bytes_ += bytes;
 }
 
-void NetworkScheduler::NoteLiveRemoved(DestId id, int prio, size_t payload_bytes) {
+NetworkScheduler::Pending NetworkScheduler::Take(DestId id, int prio,
+                                                 PendingList::iterator it) {
   DestQueue& q = dests_[id];
+  const size_t bytes = it->msg.payload.size();
   if (--q.queued_count == 0) {
     nonempty_dests_.erase(id);
   }
-  q.queued_bytes -= payload_bytes;
-  if (prio == static_cast<int>(Priority::kBackground) && --q.background_count == 0) {
+  q.queued_bytes -= bytes;
+  if (prio == kBackgroundPrio && --q.background_count == 0) {
     background_dests_.erase(id);
   }
   --total_queued_;
-  queued_payload_bytes_ -= payload_bytes;
-}
-
-void NetworkScheduler::Tombstone(DestId id, int prio, Pending* p, const Status& why) {
-  DestQueue& q = dests_[id];
-  NoteLiveRemoved(id, prio, p->msg.payload.size());
-  auto it = q.index.find(p->msg.header.message_id);
-  if (it != q.index.end() && it->second == p) {
-    q.index.erase(it);
+  queued_payload_bytes_ -= bytes;
+  auto slot = q.index.find(it->msg.header.message_id);
+  if (slot != q.index.end() && slot->second == it) {
+    q.index.erase(slot);
   }
-  p->cancelled = true;
-  p->msg.payload = Buffer();  // release the payload storage now, not at trim
-  DeliveredCallback cb = std::move(p->delivered);
-  p->delivered = nullptr;
-  if (cb) {
-    cb(why);
-  }
-}
-
-void NetworkScheduler::TrimTombstones(DestQueue& q) {
-  for (auto& pq : q.by_priority) {
-    while (!pq.empty() && pq.front().cancelled) {
-      pq.pop_front();
-    }
-    while (!pq.empty() && pq.back().cancelled) {
-      pq.pop_back();
-    }
-  }
+  Pending p = std::move(*it);
+  q.by_priority[prio].erase(it);
+  return p;
 }
 
 void NetworkScheduler::Enqueue(Message msg, DeliveredCallback delivered, Duration ttl) {
@@ -149,7 +139,6 @@ void NetworkScheduler::Enqueue(Message msg, DeliveredCallback delivered, Duratio
     }
   }
 
-  const int prio = static_cast<int>(msg.header.priority);
   const size_t payload_size = msg.payload.size();
 
   // Admission: when either bound is hit, background traffic is rejected
@@ -188,10 +177,7 @@ void NetworkScheduler::Enqueue(Message msg, DeliveredCallback delivered, Duratio
                         }
                       });
   }
-  DestQueue& q = dests_[id];
-  q.by_priority[prio].push_back(std::move(pending));
-  q.index.try_emplace(message_id, &q.by_priority[prio].back());
-  NoteLiveAdded(id, prio, payload_size);
+  Put(id, std::move(pending));
   NotifyObserver();
   TryDrain(id);
 }
@@ -212,25 +198,11 @@ size_t NetworkScheduler::ShedBackground(size_t incoming_bytes) {
   std::vector<Pending> victims;
   const std::vector<DestId> candidates(background_dests_.begin(), background_dests_.end());
   for (DestId id : candidates) {
-    DestQueue& q = dests_[id];
-    auto& bq = q.by_priority[static_cast<int>(Priority::kBackground)];
+    PendingList& bq = dests_[id].by_priority[kBackgroundPrio];
     // Newest first: the oldest queued background message has waited longest
-    // and is closest to going out. Shedding from the back also reclaims any
-    // tombstones in passing instead of creating mid-queue ones.
+    // and is closest to going out.
     while (!bq.empty() && !fits()) {
-      Pending& victim = bq.back();
-      if (victim.cancelled) {
-        bq.pop_back();
-        continue;
-      }
-      NoteLiveRemoved(id, static_cast<int>(Priority::kBackground),
-                      victim.msg.payload.size());
-      auto it = q.index.find(victim.msg.header.message_id);
-      if (it != q.index.end() && it->second == &victim) {
-        q.index.erase(it);
-      }
-      victims.push_back(std::move(victim));
-      bq.pop_back();
+      victims.push_back(Take(id, kBackgroundPrio, std::prev(bq.end())));
     }
     if (fits()) {
       break;
@@ -255,15 +227,18 @@ void NetworkScheduler::ExpireMessage(DestId id, uint64_t message_id) {
   if (it == q.index.end()) {
     return;  // delivered, cancelled, in flight, or rebound meanwhile
   }
-  Pending* p = it->second;
-  if (p->expires_at > loop_->now()) {
+  const PendingList::iterator entry = it->second;
+  if (entry->expires_at > loop_->now()) {
     return;  // a different message reusing the id (fresh TTL)
   }
-  const int prio = static_cast<int>(p->msg.header.priority);
   c_messages_expired_->Increment();
-  c_payload_bytes_cancelled_->Increment(p->msg.payload.size());
-  Tombstone(id, prio, p, DeadlineExceededError("message ttl expired in queue"));
-  TrimTombstones(q);
+  c_payload_bytes_cancelled_->Increment(entry->msg.payload.size());
+  // The payload is released with the taken entry, before the callback runs.
+  DeliveredCallback cb =
+      Take(id, static_cast<int>(entry->msg.header.priority), entry).delivered;
+  if (cb) {
+    cb(DeadlineExceededError("message ttl expired in queue"));
+  }
   NotifyObserver();
 }
 
@@ -278,11 +253,13 @@ bool NetworkScheduler::CancelMessage(const std::string& dest, uint64_t message_i
   if (it == q.index.end()) {
     return false;  // unknown or already in flight
   }
-  Pending* p = it->second;
-  const int prio = static_cast<int>(p->msg.header.priority);
-  c_payload_bytes_cancelled_->Increment(p->msg.payload.size());
-  Tombstone(id, prio, p, CancelledError("cancelled before transmission"));
-  TrimTombstones(q);
+  const PendingList::iterator entry = it->second;
+  c_payload_bytes_cancelled_->Increment(entry->msg.payload.size());
+  DeliveredCallback cb =
+      Take(id, static_cast<int>(entry->msg.header.priority), entry).delivered;
+  if (cb) {
+    cb(CancelledError("cancelled before transmission"));
+  }
   NotifyObserver();
   return true;
 }
@@ -296,29 +273,13 @@ std::vector<uint64_t> NetworkScheduler::RebindDestination(const std::string& fro
   }
   const DestId src_id = it->second;
   const DestId dst_id = InternDest(to);  // may grow dests_; deque keeps refs valid
-  DestQueue& src = dests_[src_id];
-  DestQueue& dst = dests_[dst_id];
   for (int prio = 0; prio < kNumPriorities; ++prio) {
-    auto& spq = src.by_priority[prio];
-    auto& dpq = dst.by_priority[prio];
+    PendingList& spq = dests_[src_id].by_priority[prio];
     while (!spq.empty()) {
-      Pending p = std::move(spq.front());
-      spq.pop_front();
-      if (p.cancelled) {
-        continue;  // tombstone: already counted out, nothing to move
-      }
-      const uint64_t message_id = p.msg.header.message_id;
-      const size_t bytes = p.msg.payload.size();
-      auto sit = src.index.find(message_id);
-      if (sit != src.index.end()) {
-        src.index.erase(sit);
-      }
+      Pending p = Take(src_id, prio, spq.begin());
       p.msg.header.dst = to;
-      moved.push_back(message_id);
-      NoteLiveRemoved(src_id, prio, bytes);
-      dpq.push_back(std::move(p));
-      dst.index.try_emplace(message_id, &dpq.back());
-      NoteLiveAdded(dst_id, prio, bytes);
+      moved.push_back(p.msg.header.message_id);
+      Put(dst_id, std::move(p));
     }
   }
   if (!moved.empty()) {
@@ -336,35 +297,31 @@ size_t NetworkScheduler::QueueDepthFor(const std::string& dest) const {
 SchedulerQueueAudit NetworkScheduler::AuditQueues() const {
   SchedulerQueueAudit audit;
   for (const DestQueue& q : dests_) {
-    size_t live = 0;
+    size_t count = 0;
     size_t bytes = 0;
     size_t background = 0;
-    std::unordered_set<const Pending*> live_entries;
+    size_t indexed = 0;  // entries their id's index slot names
     for (int prio = 0; prio < kNumPriorities; ++prio) {
-      for (const Pending& p : q.by_priority[prio]) {
-        if (p.cancelled) {
-          continue;
-        }
-        ++live;
-        bytes += p.msg.payload.size();
-        if (prio == static_cast<int>(Priority::kBackground)) {
+      const PendingList& pq = q.by_priority[prio];
+      for (auto it = pq.begin(); it != pq.end(); ++it) {
+        ++count;
+        bytes += it->msg.payload.size();
+        if (prio == kBackgroundPrio) {
           ++background;
         }
-        live_entries.insert(&p);
+        auto slot = q.index.find(it->msg.header.message_id);
+        if (slot != q.index.end() && slot->second == it) {
+          ++indexed;
+        }
       }
     }
-    if (live != q.queued_count || bytes != q.queued_bytes ||
-        background != q.background_count) {
+    // Each index slot must name a queued entry of this destination with the
+    // matching id: a dangling or mis-keyed slot leaves indexed short.
+    if (count != q.queued_count || bytes != q.queued_bytes ||
+        background != q.background_count || indexed != q.index.size()) {
       audit.per_dest_consistent = false;
     }
-    // Every index entry must point at a live entry of this destination with
-    // the matching id (a dangling or mis-keyed pointer is a structural bug).
-    for (const auto& [message_id, p] : q.index) {
-      if (live_entries.count(p) == 0 || p->msg.header.message_id != message_id) {
-        audit.per_dest_consistent = false;
-      }
-    }
-    audit.messages += live;
+    audit.messages += count;
     audit.payload_bytes += bytes;
   }
   if (audit.messages != total_queued_ || audit.payload_bytes != queued_payload_bytes_) {
@@ -439,28 +396,17 @@ void NetworkScheduler::SendBatch(DestId id, Link* link) {
   // inversion a just-started background transfer can inflict to a single
   // message's serialization time.
   for (int prio = 0; prio < kNumPriorities && batch.empty(); ++prio) {
-    auto& pq = q.by_priority[prio];
-    const size_t prio_max =
-        prio == static_cast<int>(Priority::kBackground) ? 1 : max_msgs;
+    PendingList& pq = q.by_priority[prio];
+    const size_t prio_max = prio == kBackgroundPrio ? 1 : max_msgs;
     while (!pq.empty() && batch.size() < prio_max) {
-      Pending& front = pq.front();
-      if (front.cancelled) {
-        pq.pop_front();  // reclaim a tombstone that reached the head
-        continue;
-      }
+      const Pending& front = pq.front();
       if (front.expires_at <= now) {
-        // TTL lapsed while queued; drop here rather than transmit. Pop the
+        // TTL lapsed while queued; drop here rather than transmit. Take the
         // entry out BEFORE firing its callback -- the callback may re-enter
-        // the scheduler and must not find a half-dead slot at the head.
+        // the scheduler and must not find it still at the head.
         c_messages_expired_->Increment();
         c_payload_bytes_cancelled_->Increment(front.msg.payload.size());
-        NoteLiveRemoved(id, prio, front.msg.payload.size());
-        auto eit = q.index.find(front.msg.header.message_id);
-        if (eit != q.index.end() && eit->second == &front) {
-          q.index.erase(eit);
-        }
-        Pending dead = std::move(front);
-        pq.pop_front();
+        Pending dead = Take(id, prio, pq.begin());
         dropped_expired = true;
         if (dead.delivered) {
           dead.delivered(DeadlineExceededError("message ttl expired in queue"));
@@ -472,14 +418,9 @@ void NetworkScheduler::SendBatch(DestId id, Link* link) {
         break;
       }
       bytes += sz;
-      NoteLiveRemoved(id, prio, front.msg.payload.size());
-      // In-flight messages are not cancellable: drop the index entry.
-      auto iit = q.index.find(front.msg.header.message_id);
-      if (iit != q.index.end() && iit->second == &front) {
-        q.index.erase(iit);
-      }
-      batch.push_back(std::move(front));
-      pq.pop_front();
+      // In flight from here: Take drops the index slot, so it is no longer
+      // cancellable.
+      batch.push_back(Take(id, prio, pq.begin()));
     }
   }
   if (dropped_expired) {
@@ -541,16 +482,10 @@ void NetworkScheduler::HandleBatchOutcome(DestId id, std::vector<Pending> batch,
   }
 
   // Failure: requeue at the front of each message's priority queue,
-  // preserving the original order, and restore their index entries.
+  // preserving the original order, and restore their index slots.
   c_retries_->Increment();
   for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-    const int prio = static_cast<int>(it->msg.header.priority);
-    const size_t bytes = it->msg.payload.size();
-    const uint64_t message_id = it->msg.header.message_id;
-    auto& pq = q.by_priority[prio];
-    pq.push_front(std::move(*it));
-    q.index.try_emplace(message_id, &pq.front());
-    NoteLiveAdded(id, prio, bytes);
+    Put(id, std::move(*it), /*at_front=*/true);
   }
   NotifyObserver();
 

@@ -14,11 +14,11 @@
 // Hot-path design (see docs/architecture.md "Hot-path memory and
 // scheduling"): destination names are interned to dense uint32 ids at the
 // public boundary -- one hash lookup per call, integer indexing inside.
-// Each destination keeps a message_id -> entry index so CancelMessage /
-// supersede-withdraw are O(1) instead of a queue scan; cancellation
-// tombstones the entry in place (std::deque middle-erase would invalidate
-// the index's pointers) and the stone is reclaimed when it reaches either
-// end of its deque. Depth and byte gauges are maintained incrementally;
+// Each priority queue is a std::list, and each destination keeps a
+// message_id -> list-iterator index, so CancelMessage / supersede-withdraw
+// are O(1) instead of a queue scan. One private Take() is the only way out
+// of a queue (cancel, TTL, shed, batch pull, rebind) and one Put() the only
+// way in. Depth and byte gauges are maintained incrementally;
 // TotalQueueDepth() is O(1), and AuditQueues() provides the independent
 // structural recount the SimCheck conservation invariants compare against.
 
@@ -28,6 +28,7 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <set>
 #include <string>
@@ -74,7 +75,7 @@ struct SchedulerOptions {
 // Independent structural recount of the queues, for invariant checking
 // (SimCheck compares these against the incrementally-maintained gauges).
 struct SchedulerQueueAudit {
-  size_t messages = 0;       // live (non-tombstone) queued messages
+  size_t messages = 0;       // queued messages
   size_t payload_bytes = 0;  // their payload bytes
   // False if any per-destination incremental counter disagrees with the
   // structural walk -- an index/queue consistency violation.
@@ -152,23 +153,20 @@ class NetworkScheduler {
     Message msg;
     DeliveredCallback delivered;
     TimePoint expires_at = TimePoint::FromMicros(INT64_MAX);  // TTL deadline
-    // Tombstone: the entry was cancelled/expired/shed in place (callback
-    // already fired, payload released, counters adjusted). It is skipped by
-    // every consumer and physically reclaimed when it reaches a deque end.
-    bool cancelled = false;
   };
+  using PendingList = std::list<Pending>;
 
   struct DestQueue {
     std::string name;  // interned destination name
-    std::array<std::deque<Pending>, kNumPriorities> by_priority;
-    // message_id -> live queue entry. Entries leave the index when they are
-    // tombstoned, pulled into a batch (in-flight messages are not
-    // cancellable), or rebound to another destination. On the rare id
-    // collision (distinct id spaces can reuse a value against one dest) the
-    // later message is simply not indexed: it stays deliverable but is not
-    // individually cancellable, matching the old scan's first-match pick.
-    std::unordered_map<uint64_t, Pending*> index;
-    // Incremental per-destination accounting (live entries only).
+    std::array<PendingList, kNumPriorities> by_priority;
+    // message_id -> queued entry. Take() drops an entry's index slot when
+    // the entry leaves the queue (in-flight messages are not cancellable).
+    // On the rare id collision (distinct id spaces can reuse a value
+    // against one dest) the later message is simply not indexed: it stays
+    // deliverable but is not individually cancellable, matching the old
+    // scan's first-match pick.
+    std::unordered_map<uint64_t, PendingList::iterator> index;
+    // Incremental per-destination accounting.
     size_t queued_count = 0;
     size_t queued_bytes = 0;
     size_t background_count = 0;
@@ -196,17 +194,15 @@ class NetworkScheduler {
   const DestQueue* FindDest(const std::string& dest) const;
   DestQueue* FindDest(const std::string& dest);
 
-  // Incremental accounting for a live entry entering/leaving the queues
-  // (also maintains the nonempty/background active-destination sets).
-  void NoteLiveAdded(DestId id, int prio, size_t payload_bytes);
-  void NoteLiveRemoved(DestId id, int prio, size_t payload_bytes);
-
-  // Tombstones a live entry in place: fires `why` through its delivered
-  // callback, releases the payload, erases it from the index, and adjusts
-  // counters. The caller picks the drop counter to bump.
-  void Tombstone(DestId id, int prio, Pending* p, const Status& why);
-  // Reclaims tombstones sitting at either end of each priority deque.
-  static void TrimTombstones(DestQueue& q);
+  // The one way into a destination queue: appends `p` to its priority
+  // queue (prepends it when `at_front`, for a failed frame's requeue),
+  // indexes it unless its id is already indexed there, and counts it in
+  // (also maintaining the nonempty/background active-destination sets).
+  void Put(DestId id, Pending p, bool at_front = false);
+  // The one way out: counts the entry out, drops the index slot only if it
+  // names this entry, erases the node and returns the entry. Fires nothing;
+  // the caller decides what the withdrawal means.
+  Pending Take(DestId id, int prio, PendingList::iterator it);
 
   // Sheds queued background messages (newest first) until the bounds fit
   // `incoming_bytes` more or no background remains. Returns freed count.
@@ -238,7 +234,7 @@ class NetworkScheduler {
   SchedulerOptions options_;
   // Boundary interning: string keys only here; everything below indexes by
   // DestId. dests_ is a deque: growth never moves existing DestQueues, so
-  // references (and the per-dest index's Pending pointers) stay valid.
+  // references to them stay valid.
   std::unordered_map<std::string, DestId> dest_ids_;
   std::deque<DestQueue> dests_;
   // Active-destination sets, maintained on 0 <-> nonzero transitions of the

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -930,36 +931,111 @@ TEST_F(QrpcTest, DeadlineOnCoalescedPredecessorIsDisarmed) {
   EXPECT_EQ(client_->PendingCount(), 0u);
 }
 
-TEST_F(QrpcTest, CancelOfCoalescedChainResolvesPredecessorOnce) {
+// The ways a coalescing successor can leave the engine without a response.
+enum class ChainExit { kCancel, kDeadline, kShed, kQuarantine };
+
+void PrintTo(ChainExit exit, std::ostream* os) {
+  static const char* const kNames[] = {"Cancel", "Deadline", "Shed", "Quarantine"};
+  *os << kNames[static_cast<int>(exit)];
+}
+
+class QrpcChainExitTest : public QrpcTest,
+                          public ::testing::WithParamInterface<ChainExit> {};
+
+TEST_P(QrpcChainExitTest, CoalescedChainResolvesPredecessorOnce) {
+  const ChainExit exit = GetParam();
+  // Link up only at t=300s: the chain queues disconnected, so no exit races
+  // anything on the wire.
   Wire(LinkProfile::WaveLan2(),
        std::make_unique<PeriodicConnectivity>(Duration::Seconds(1e6), Duration::Zero(),
                                               TimePoint::Epoch() + Duration::Seconds(300)));
+  if (exit == ChainExit::kShed) {
+    QrpcClientOptions copts;
+    copts.max_outstanding_calls = 2;
+    client_ = std::make_unique<QrpcClient>(&loop_, client_tm_.get(), log_.get(),
+                                           &client_metrics_, copts);
+  }
   QrpcCallOptions opts;
   opts.supersede_key = "obj";
+  if (exit == ChainExit::kDeadline) {
+    opts.deadline = Duration::Seconds(30);
+  }
+  if (exit == ChainExit::kShed) {
+    opts.priority = Priority::kBackground;
+  }
   QrpcCall pred = client_->Call("server", "count", {}, opts);
   QrpcCall succ = client_->Call("server", "count", {}, opts);
+  const uint64_t succ_record = log_->BackRecordId();
   EXPECT_EQ(Count(&client_metrics_, "qrpc_client.coalesced"), 1u);
+  int pred_resolutions = 0;
+  int succ_resolutions = 0;
+  pred.result.OnReady([&](const QrpcResult&) { ++pred_resolutions; });
+  succ.result.OnReady([&](const QrpcResult&) { ++succ_resolutions; });
 
   // The predecessor already left the engine: it has no independent call to
   // cancel any more, so Cancel must say so rather than touch the chain.
   EXPECT_FALSE(client_->Cancel(pred.rpc_id));
-  // Cancelling the successor ends the whole chain: both promises resolve
-  // (exactly once each) with CANCELLED, and nothing survives in the log to
-  // resurrect either operation after a crash.
-  EXPECT_TRUE(client_->Cancel(succ.rpc_id));
-  loop_.RunUntil(TimePoint::Epoch() + Duration::Seconds(1));
+
+  // Whichever way the successor leaves, it ends the whole chain: both
+  // promises resolve (exactly once each) with the exit's status, and
+  // nothing survives in the log to resurrect either operation after a crash.
+  StatusCode want = StatusCode::kOk;
+  const char* counter = "";
+  int64_t want_executions = 0;
+  switch (exit) {
+    case ChainExit::kCancel:
+      EXPECT_TRUE(client_->Cancel(succ.rpc_id));
+      want = StatusCode::kCancelled;
+      counter = "qrpc_client.cancelled";
+      break;
+    case ChainExit::kDeadline:
+      want = StatusCode::kDeadlineExceeded;
+      counter = "qrpc_client.deadline_exceeded";
+      break;
+    case ChainExit::kShed: {
+      // Coalescing freed the predecessor's slot, so a filler takes the
+      // second one; the foreground call after it is over the bound and
+      // sheds the background successor. Cancelling the filler leaves the
+      // shedding call as the only one to execute.
+      QrpcCall filler = client_->Call("server", "count", {});
+      QrpcCallOptions foreground;
+      foreground.priority = Priority::kForeground;
+      client_->Call("server", "count", {}, foreground);
+      EXPECT_TRUE(client_->Cancel(filler.rpc_id));
+      want = StatusCode::kResourceExhausted;
+      counter = "qrpc_client.background_shed";
+      want_executions = 1;
+      break;
+    }
+    case ChainExit::kQuarantine:
+      EXPECT_EQ(client_->FailQuarantinedRecords({succ_record}), 1u);
+      want = StatusCode::kDataLoss;
+      counter = "qrpc_client.storage_quarantined_calls";
+      break;
+  }
+  loop_.RunUntil(TimePoint::Epoch() + Duration::Seconds(60));  // past the deadline
   ASSERT_TRUE(pred.result.ready());
   ASSERT_TRUE(succ.result.ready());
-  EXPECT_EQ(pred.result.value().status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(succ.result.value().status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(pred_resolutions, 1);
+  EXPECT_EQ(succ_resolutions, 1);
+  EXPECT_EQ(pred.result.value().status.code(), want);
+  EXPECT_EQ(succ.result.value().status.code(), want);
   EXPECT_TRUE(pred.committed.ready());
-  EXPECT_EQ(log_->RecordCount(), 0u);
+  EXPECT_EQ(Count(&client_metrics_, counter), 1u);
 
-  loop_.Run();  // link comes up at t=300s; nothing is transmitted
-  EXPECT_EQ(executions_, 0);
-  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.requests"), 0u);
+  loop_.Run();  // link comes up at t=300s; the chain is never transmitted
+  EXPECT_EQ(executions_, want_executions);
+  EXPECT_EQ(Count(&server_metrics_, "qrpc_server.requests"),
+            static_cast<uint64_t>(want_executions));
+  EXPECT_EQ(log_->RecordCount(), 0u);
   EXPECT_EQ(client_->PendingCount(), 0u);
+  EXPECT_EQ(pred_resolutions, 1);
+  EXPECT_EQ(succ_resolutions, 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(Exits, QrpcChainExitTest,
+                         ::testing::Values(ChainExit::kCancel, ChainExit::kDeadline,
+                                           ChainExit::kShed, ChainExit::kQuarantine));
 
 }  // namespace
 }  // namespace rover

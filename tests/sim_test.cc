@@ -520,7 +520,7 @@ TEST(NetworkTest, PeerObserverFiresOnAttachAndForceDownForThatPeerOnly) {
   EXPECT_EQ(a_fires, 2);  // removed: no further fires
 }
 
-TEST(NetworkTest, ForceDownUpdatesCanReachFastPath) {
+TEST(NetworkTest, ForceDownMakesPeerUnreachable) {
   EventLoop loop;
   Network net(&loop);
   Link* only = net.Connect("server", "a", LinkProfile::Ethernet10());

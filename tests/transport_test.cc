@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/network.h"
@@ -407,8 +408,8 @@ TEST_F(SchedulerTest, CancelBeforeTransmissionWithdrawsMessage) {
 
 // --- Indexed-scheduler semantics: cancel / supersede-withdraw / rebind /
 // shed interleavings. CancelMessage is the primitive the QRPC layer's
-// supersede-withdraw uses, so mid-queue tombstones, shedding around them,
-// and rebinding over them must all compose without drifting the index.
+// supersede-withdraw uses, so mid-queue removals, shedding around them, and
+// rebinding after them must all compose without drifting the index.
 TEST(SchedulerIndexTest, CancelRebindShedInterleavings) {
   EventLoop loop;
   Network net(&loop);
@@ -453,7 +454,7 @@ TEST(SchedulerIndexTest, CancelRebindShedInterleavings) {
   EXPECT_EQ(Count(&mobile_metrics, "scheduler.messages_shed"), 1u);
   EXPECT_EQ(sched->QueueDepthFor("s2"), 2u);
 
-  // Mid-queue withdraw (the supersede path): tombstones entry 2 in place.
+  // Mid-queue withdraw (the supersede path): erases entry 2 in place.
   EXPECT_TRUE(sched->CancelMessage("s1", 2));
   EXPECT_FALSE(sched->CancelMessage("s1", 2));  // already gone
   EXPECT_EQ(sched->QueueDepthFor("s1"), 3u);
@@ -574,6 +575,189 @@ TEST(SchedulerIndexTest, SeededRandomOpsKeepIndexAndCountsConsistent) {
   const auto elapsed = std::chrono::steady_clock::now() - wall_start;
   EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 20)
       << "index ops degraded to queue scans";
+}
+
+// One mobile host with a single link to "server", for the remaining ways
+// out of a queue: TTL purge, TTL drop at the head, cancel after a lossy
+// requeue, and an id collision. Every delivered callback is logged.
+struct QueueExitBed {
+  explicit QueueExitBed(LinkProfile profile,
+                        std::unique_ptr<ConnectivitySchedule> schedule = nullptr)
+      : net(&loop) {
+    net.Connect("mobile", "server", std::move(profile), std::move(schedule));
+    mobile = std::make_unique<TransportManager>(&loop, net.FindHost("mobile"), &metrics);
+    server = std::make_unique<TransportManager>(&loop, net.FindHost("server"), &server_metrics);
+    server->SetHandler(MessageType::kRequest,
+                       [this](const Message& m) { received.push_back(m); });
+  }
+
+  void Enqueue(uint64_t id, size_t bytes, Priority prio = Priority::kDefault,
+               Duration ttl = Duration::Zero()) {
+    Message m = MakeMessage("server", bytes, prio);
+    m.header.src = "mobile";
+    m.header.message_id = id;
+    scheduler()->Enqueue(
+        std::move(m), [this, id](const Status& s) { outcomes.emplace_back(id, s.code()); },
+        ttl);
+  }
+
+  // The structural recount agrees with the incremental counters.
+  void ExpectConsistent(const char* step) {
+    SCOPED_TRACE(step);
+    const SchedulerQueueAudit audit = scheduler()->AuditQueues();
+    EXPECT_TRUE(audit.per_dest_consistent);
+    EXPECT_EQ(audit.messages, scheduler()->TotalQueueDepth());
+    EXPECT_EQ(audit.payload_bytes, scheduler()->QueuedPayloadBytes());
+  }
+
+  NetworkScheduler* scheduler() { return mobile->scheduler(); }
+
+  EventLoop loop;
+  Network net;
+  obs::Registry metrics;
+  obs::Registry server_metrics;
+  std::unique_ptr<TransportManager> mobile;
+  std::unique_ptr<TransportManager> server;
+  std::vector<Message> received;
+  std::vector<std::pair<uint64_t, StatusCode>> outcomes;
+};
+
+std::unique_ptr<ConnectivitySchedule> UpFrom(double seconds) {
+  return std::make_unique<PeriodicConnectivity>(Duration::Seconds(1e6), Duration::Zero(),
+                                                TimePoint::Epoch() + Duration::Seconds(seconds));
+}
+
+TEST(SchedulerIndexTest, TtlPurgeOfMidQueueEntry) {
+  QueueExitBed bed(LinkProfile::WaveLan2(), UpFrom(60));
+  bed.Enqueue(1, 10);
+  bed.Enqueue(2, 20, Priority::kDefault, /*ttl=*/Duration::Seconds(10));
+  bed.Enqueue(3, 30);
+  bed.ExpectConsistent("three queued");
+
+  // The purge event at t=10s takes entry 2 out from between 1 and 3.
+  bed.loop.RunUntil(TimePoint::Epoch() + Duration::Seconds(30));
+  ASSERT_EQ(bed.outcomes.size(), 1u);
+  EXPECT_EQ(bed.outcomes[0], std::make_pair(uint64_t{2}, StatusCode::kDeadlineExceeded));
+  EXPECT_EQ(bed.scheduler()->TotalQueueDepth(), 2u);
+  EXPECT_EQ(bed.scheduler()->QueuedPayloadBytes(), 40u);
+  EXPECT_FALSE(bed.scheduler()->CancelMessage("server", 2));
+  bed.ExpectConsistent("mid-queue purge");
+
+  bed.loop.Run();
+  ASSERT_EQ(bed.received.size(), 2u);
+  EXPECT_EQ(bed.received[0].header.message_id, 1u);
+  EXPECT_EQ(bed.received[1].header.message_id, 3u);
+  EXPECT_EQ(Count(&bed.metrics, "scheduler.messages_expired"), 1u);
+  bed.ExpectConsistent("drained");
+}
+
+TEST(SchedulerIndexTest, TtlExpiredHeadDroppedWhenLinkComesUp) {
+  QueueExitBed bed(LinkProfile::WaveLan2(), UpFrom(60));
+  std::vector<size_t> depths;
+  bed.scheduler()->SetQueueObserver([&](size_t d) { depths.push_back(d); });
+  // Entry 1 parks the queue and arms the up-wakeup for t=60s; entry 2's TTL
+  // purge is scheduled later for the same instant, so the wakeup runs first
+  // and finds entry 2 expired at the head of its priority queue.
+  bed.Enqueue(1, 10, Priority::kBackground);
+  bed.Enqueue(2, 20, Priority::kDefault, /*ttl=*/Duration::Seconds(60));
+  bed.ExpectConsistent("two queued");
+
+  bed.loop.RunUntil(TimePoint::Epoch() + Duration::Seconds(60));
+  ASSERT_GE(bed.outcomes.size(), 1u);
+  EXPECT_EQ(bed.outcomes[0], std::make_pair(uint64_t{2}, StatusCode::kDeadlineExceeded));
+  EXPECT_FALSE(bed.scheduler()->CancelMessage("server", 2));
+  bed.ExpectConsistent("head drop");
+
+  bed.loop.Run();
+  ASSERT_EQ(bed.received.size(), 1u);
+  EXPECT_EQ(bed.received[0].header.message_id, 1u);
+  EXPECT_EQ(Count(&bed.metrics, "scheduler.messages_expired"), 1u);
+  // The drop and entry 1's pull happened in one pass: the queue went from
+  // two straight to empty, never through a purge's depth of one.
+  EXPECT_EQ(depths, (std::vector<size_t>{1, 2, 0, 0}));
+  bed.ExpectConsistent("drained");
+}
+
+TEST(SchedulerIndexTest, CancelDuringLossBackoffAfterRequeue) {
+  LinkProfile lossy = LinkProfile::WaveLan2();
+  lossy.loss_prob = 1.0;  // every frame is lost
+  QueueExitBed bed(lossy);
+  bed.Enqueue(1, 10);  // goes out at once, alone in its frame
+  bed.Enqueue(2, 20);  // waits behind the in-flight frame
+  bed.ExpectConsistent("one in flight");
+
+  // The loss is reported a round trip later; entry 1 is requeued at the
+  // front and the retry waits out at least the 200 ms base backoff.
+  bed.loop.RunUntil(TimePoint::Epoch() + Duration::Millis(100));
+  EXPECT_EQ(Count(&bed.metrics, "scheduler.frames_sent"), 1u);
+  EXPECT_EQ(Count(&bed.metrics, "scheduler.retries"), 1u);
+  EXPECT_EQ(bed.scheduler()->TotalQueueDepth(), 2u);
+  EXPECT_EQ(bed.scheduler()->QueuedPayloadBytes(), 30u);
+  bed.ExpectConsistent("requeued");
+
+  EXPECT_TRUE(bed.scheduler()->CancelMessage("server", 1));
+  ASSERT_EQ(bed.outcomes.size(), 1u);
+  EXPECT_EQ(bed.outcomes[0], std::make_pair(uint64_t{1}, StatusCode::kCancelled));
+  EXPECT_EQ(bed.scheduler()->TotalQueueDepth(), 1u);
+  EXPECT_EQ(bed.scheduler()->QueuedPayloadBytes(), 20u);
+  bed.ExpectConsistent("cancelled in backoff");
+
+  // Retries carry entry 2 alone and keep losing it; entry 1 never reappears.
+  bed.loop.RunUntil(TimePoint::Epoch() + Duration::Seconds(5));
+  EXPECT_GT(Count(&bed.metrics, "scheduler.retries"), 1u);
+  EXPECT_EQ(bed.outcomes.size(), 1u);
+  EXPECT_FALSE(bed.scheduler()->CancelMessage("server", 1));
+  EXPECT_TRUE(bed.received.empty());
+  bed.ExpectConsistent("retrying");
+}
+
+TEST(SchedulerIndexTest, DuplicateIdFirstCancelsSecondStillDelivered) {
+  QueueExitBed bed(LinkProfile::WaveLan2(), UpFrom(60));
+  bed.Enqueue(9, 10);
+  bed.Enqueue(9, 20);  // same id: queued and deliverable, but not indexed
+  bed.ExpectConsistent("both queued");
+
+  EXPECT_TRUE(bed.scheduler()->CancelMessage("server", 9));
+  ASSERT_EQ(bed.outcomes.size(), 1u);
+  EXPECT_EQ(bed.outcomes[0].second, StatusCode::kCancelled);
+  EXPECT_EQ(bed.scheduler()->TotalQueueDepth(), 1u);
+  EXPECT_EQ(bed.scheduler()->QueuedPayloadBytes(), 20u);
+  bed.ExpectConsistent("first cancelled");
+
+  EXPECT_FALSE(bed.scheduler()->CancelMessage("server", 9));
+  EXPECT_EQ(bed.scheduler()->TotalQueueDepth(), 1u);
+  bed.ExpectConsistent("second not cancellable");
+
+  bed.loop.Run();
+  ASSERT_EQ(bed.received.size(), 1u);
+  EXPECT_EQ(bed.received[0].header.message_id, 9u);
+  EXPECT_EQ(bed.received[0].payload.size(), 20u);
+  ASSERT_EQ(bed.outcomes.size(), 2u);
+  EXPECT_EQ(bed.outcomes[1], std::make_pair(uint64_t{9}, StatusCode::kOk));
+  bed.ExpectConsistent("delivered");
+}
+
+TEST(SchedulerIndexTest, TakingUnindexedTwinKeepsIndexedOneCancellable) {
+  QueueExitBed bed(LinkProfile::WaveLan2(), UpFrom(60));
+  bed.Enqueue(9, 10, Priority::kBackground);  // indexed
+  bed.Enqueue(9, 20, Priority::kDefault);     // same id: not indexed
+  bed.ExpectConsistent("both queued");
+
+  // At link-up the default-priority twin leaves first, alone in its frame.
+  // Taking it must leave the index slot of the background one in place.
+  bed.loop.RunUntil(TimePoint::Epoch() + Duration::Seconds(60));
+  EXPECT_EQ(Count(&bed.metrics, "scheduler.frames_sent"), 1u);
+  EXPECT_EQ(bed.scheduler()->TotalQueueDepth(), 1u);
+  bed.ExpectConsistent("twin in flight");
+  EXPECT_TRUE(bed.scheduler()->CancelMessage("server", 9));
+  ASSERT_EQ(bed.outcomes.size(), 1u);
+  EXPECT_EQ(bed.outcomes[0], std::make_pair(uint64_t{9}, StatusCode::kCancelled));
+  bed.ExpectConsistent("indexed one cancelled");
+
+  bed.loop.Run();
+  ASSERT_EQ(bed.received.size(), 1u);
+  EXPECT_EQ(bed.received[0].payload.size(), 20u);
+  bed.ExpectConsistent("drained");
 }
 
 TEST(SmtpTest, RelayStoresAndForwards) {
