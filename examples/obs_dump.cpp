@@ -3,8 +3,8 @@
 // plus the per-RPC lifecycle trace. Each QRPC's span shows the queued-RPC
 // pipeline from the paper: enqueued -> logged -> flushed (durable) ->
 // transmitted (once per send attempt) -> responded. The workload also
-// exercises the bandwidth hot path so the delta-import, operation-
-// coalescing, and log-compression counters all show live values.
+// exercises the bandwidth hot path so the delta-import and operation-
+// coalescing counters show live values.
 
 #include <cstdio>
 
@@ -22,11 +22,9 @@ int main() {
       {at(0), at(5)},
       {at(30), at(600)},
   };
-  ClientNodeOptions copts;
-  copts.log_costs.compress_log = true;  // show the compression counters too
   RoverClientNode* client =
       bed.AddClient("mobile", LinkProfile::WaveLan2(),
-                    std::make_unique<IntervalConnectivity>(up), copts);
+                    std::make_unique<IntervalConnectivity>(up));
 
   // An object to import/edit/re-import: its second fetch arrives as a
   // delta against the cached copy.
