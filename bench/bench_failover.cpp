@@ -57,9 +57,7 @@ struct RunResult {
 };
 
 RunResult Measure(const LinkProfile& profile, int calls_per_sec) {
-  Testbed::Options topts;
-  topts.server.durable = true;
-  Testbed bed(topts);
+  Testbed bed;
   bed.loop()->set_event_limit(20'000'000);
   RoverServerNode* backup = bed.AddBackup("backup", LinkProfile::Ethernet10());
   if (!bed.server()->rover()->CreateObject(

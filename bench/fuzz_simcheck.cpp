@@ -21,34 +21,6 @@
 
 namespace {
 
-// Accepts "7", "1-64", and comma-separated mixes of both.
-std::vector<uint64_t> ParseSeedSpec(const std::string& spec) {
-  std::vector<uint64_t> seeds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) {
-      continue;
-    }
-    const size_t dash = item.find('-');
-    if (dash == std::string::npos) {
-      seeds.push_back(std::strtoull(item.c_str(), nullptr, 10));
-    } else {
-      const uint64_t lo = std::strtoull(item.substr(0, dash).c_str(), nullptr, 10);
-      const uint64_t hi = std::strtoull(item.substr(dash + 1).c_str(), nullptr, 10);
-      for (uint64_t s = lo; s <= hi; ++s) {
-        seeds.push_back(s);
-      }
-    }
-  }
-  return seeds;
-}
-
 int ReplayRepro(const std::string& line) {
   auto plan = rover::check::ParseRepro(line);
   if (!plan.ok()) {
@@ -85,7 +57,7 @@ int main(int argc, char** argv) {
       plan_options.disk_faults = true;
       continue;
     }
-    for (uint64_t s : ParseSeedSpec(argv[i])) {
+    for (uint64_t s : rover::check::ParseSeedSpec(argv[i])) {
       seeds.push_back(s);
     }
   }
@@ -95,14 +67,7 @@ int main(int argc, char** argv) {
     }
   }
   if (seeds.empty()) {
-    if (const char* env = std::getenv("ROVER_SIMCHECK_SEEDS")) {
-      seeds = ParseSeedSpec(env);
-    }
-  }
-  if (seeds.empty()) {
-    for (uint64_t s = 1; s <= 24; ++s) {
-      seeds.push_back(s);
-    }
+    seeds = rover::check::SeedsFromEnv("ROVER_SIMCHECK_SEEDS", 24);
   }
 
   for (uint64_t seed : seeds) {

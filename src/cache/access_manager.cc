@@ -949,8 +949,7 @@ void AccessManager::PumpPrefetchQueue() {
   while (!degraded_ && !qrpc_->StorageDegraded() &&
          prefetch_in_flight_ < options_.max_background_imports &&
          !prefetch_queue_.empty()) {
-    if (options_.prefetch_only_when_idle &&
-        transport_->scheduler()->TotalQueueDepth() > 0) {
+    if (transport_->scheduler()->TotalQueueDepth() > 0) {
       return;  // re-pumped from NotifyStatus when the queue drains
     }
     const std::string name = prefetch_queue_.front();

@@ -38,10 +38,10 @@ struct AccessManagerOptions {
   RdoCostModel rdo_costs;
   MigrationPolicy migration;
   bool subscribe_on_import = false;  // ask the server for invalidations
-  size_t max_background_imports = 4; // prefetch throttle
-  // Issue prefetches only while the send queue is idle, so background
-  // cache-warming never delays a foreground request on a slow link.
-  bool prefetch_only_when_idle = true;
+  // Prefetch throttle. Prefetches are issued only while the send queue is
+  // idle, so background cache-warming never delays a foreground request on
+  // a slow link.
+  size_t max_background_imports = 4;
   // When non-zero, periodically rover.poll each home server for the
   // versions of cached objects and mark stale entries (the alternative to
   // subscriptions; paper S3.1 "periodic polling or server callbacks").

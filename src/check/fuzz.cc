@@ -1,6 +1,7 @@
 #include "src/check/fuzz.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
@@ -24,92 +25,60 @@ proc add {n} { global state; set state [expr {$state + $n}]; return $state }
 
 constexpr uint64_t kHorizonMs = 60'000;
 
+// Every repro token and the action fields it stands for. Kinds without a
+// target or a torn-write flag leave those fields at their defaults.
+struct KindTokenEntry {
+  const char* token;
+  FuzzActionKind kind;
+  int target;
+  bool tear;
+};
+
+constexpr KindTokenEntry kKindTokens[] = {
+    {"client1-crash", FuzzActionKind::kClientCrash, 0, false},
+    {"client1-crash-tear", FuzzActionKind::kClientCrash, 0, true},
+    {"client2-crash", FuzzActionKind::kClientCrash, 1, false},
+    {"client2-crash-tear", FuzzActionKind::kClientCrash, 1, true},
+    {"server-crash", FuzzActionKind::kServerCrash, 0, false},
+    {"server-crash-tear", FuzzActionKind::kServerCrash, 0, true},
+    {"corrupt-image", FuzzActionKind::kCorruptImage, 0, false},
+    {"burst", FuzzActionKind::kBurst, 0, false},
+    {"client1-disk-err", FuzzActionKind::kDiskTransient, 0, false},
+    {"client2-disk-err", FuzzActionKind::kDiskTransient, 1, false},
+    {"server-disk-err", FuzzActionKind::kDiskTransient, 2, false},
+    {"client1-disk-full", FuzzActionKind::kDiskFull, 0, false},
+    {"client2-disk-full", FuzzActionKind::kDiskFull, 1, false},
+    {"server-disk-full", FuzzActionKind::kDiskFull, 2, false},
+    {"client1-disk-free", FuzzActionKind::kDiskFree, 0, false},
+    {"client2-disk-free", FuzzActionKind::kDiskFree, 1, false},
+    {"server-disk-free", FuzzActionKind::kDiskFree, 2, false},
+    {"client1-disk-rot", FuzzActionKind::kDiskRot, 0, false},
+    {"client2-disk-rot", FuzzActionKind::kDiskRot, 1, false},
+    {"server-disk-rot", FuzzActionKind::kDiskRot, 2, false},
+    {"client1-disk-syncfail", FuzzActionKind::kDiskSyncFail, 0, false},
+    {"client2-disk-syncfail", FuzzActionKind::kDiskSyncFail, 1, false},
+    {"server-disk-syncfail", FuzzActionKind::kDiskSyncFail, 2, false},
+};
+
 const char* KindToken(const FuzzAction& a) {
-  switch (a.kind) {
-    case FuzzActionKind::kClientCrash:
-      if (a.target == 0) {
-        return a.tear ? "client1-crash-tear" : "client1-crash";
-      }
-      return a.tear ? "client2-crash-tear" : "client2-crash";
-    case FuzzActionKind::kServerCrash:
-      return a.tear ? "server-crash-tear" : "server-crash";
-    case FuzzActionKind::kCorruptImage:
-      return "corrupt-image";
-    case FuzzActionKind::kBurst:
-      return "burst";
-    case FuzzActionKind::kDiskTransient:
-      return a.target == 0 ? "client1-disk-err"
-             : a.target == 1 ? "client2-disk-err"
-                             : "server-disk-err";
-    case FuzzActionKind::kDiskFull:
-      return a.target == 0 ? "client1-disk-full"
-             : a.target == 1 ? "client2-disk-full"
-                             : "server-disk-full";
-    case FuzzActionKind::kDiskFree:
-      return a.target == 0 ? "client1-disk-free"
-             : a.target == 1 ? "client2-disk-free"
-                             : "server-disk-free";
-    case FuzzActionKind::kDiskRot:
-      return a.target == 0 ? "client1-disk-rot"
-             : a.target == 1 ? "client2-disk-rot"
-                             : "server-disk-rot";
-    case FuzzActionKind::kDiskSyncFail:
-      return a.target == 0 ? "client1-disk-syncfail"
-             : a.target == 1 ? "client2-disk-syncfail"
-                             : "server-disk-syncfail";
+  for (const KindTokenEntry& e : kKindTokens) {
+    if (e.kind == a.kind && e.target == a.target && e.tear == a.tear) {
+      return e.token;
+    }
   }
   return "unknown";
 }
 
 bool KindFromToken(const std::string& token, FuzzAction* out) {
-  if (token == "client1-crash" || token == "client1-crash-tear") {
-    out->kind = FuzzActionKind::kClientCrash;
-    out->target = 0;
-    out->tear = token == "client1-crash-tear";
-    return true;
-  }
-  if (token == "client2-crash" || token == "client2-crash-tear") {
-    out->kind = FuzzActionKind::kClientCrash;
-    out->target = 1;
-    out->tear = token == "client2-crash-tear";
-    return true;
-  }
-  if (token == "server-crash" || token == "server-crash-tear") {
-    out->kind = FuzzActionKind::kServerCrash;
-    out->tear = token == "server-crash-tear";
-    return true;
-  }
-  if (token == "corrupt-image") {
-    out->kind = FuzzActionKind::kCorruptImage;
-    return true;
-  }
-  if (token == "burst") {
-    out->kind = FuzzActionKind::kBurst;
-    return true;
-  }
-  auto disk = [&](const char* prefix, int target) {
-    const std::string p(prefix);
-    if (token.rfind(p, 0) != 0) {
-      return false;
+  for (const KindTokenEntry& e : kKindTokens) {
+    if (token == e.token) {
+      out->kind = e.kind;
+      out->target = e.target;
+      out->tear = e.tear;
+      return true;
     }
-    const std::string rest = token.substr(p.size());
-    if (rest == "disk-err") {
-      out->kind = FuzzActionKind::kDiskTransient;
-    } else if (rest == "disk-full") {
-      out->kind = FuzzActionKind::kDiskFull;
-    } else if (rest == "disk-free") {
-      out->kind = FuzzActionKind::kDiskFree;
-    } else if (rest == "disk-rot") {
-      out->kind = FuzzActionKind::kDiskRot;
-    } else if (rest == "disk-syncfail") {
-      out->kind = FuzzActionKind::kDiskSyncFail;
-    } else {
-      return false;
-    }
-    out->target = target;
-    return true;
-  };
-  return disk("client1-", 0) || disk("client2-", 1) || disk("server-", 2);
+  }
+  return false;
 }
 
 }  // namespace
@@ -554,6 +523,37 @@ Result<FuzzPlan> ParseRepro(const std::string& line) {
     return InvalidArgumentError("empty plan");
   }
   return plan;
+}
+
+std::vector<uint64_t> ParseSeedSpec(const std::string& spec) {
+  std::string items = spec;
+  std::replace(items.begin(), items.end(), ',', ' ');
+  std::istringstream stream(items);
+  std::vector<uint64_t> seeds;
+  std::string item;
+  while (stream >> item) {
+    const uint64_t lo = std::strtoull(item.c_str(), nullptr, 10);
+    const size_t dash = item.find('-');
+    const uint64_t hi =
+        dash == std::string::npos ? lo : std::strtoull(item.c_str() + dash + 1, nullptr, 10);
+    for (uint64_t s = lo; s <= hi; ++s) {
+      seeds.push_back(s);
+    }
+  }
+  return seeds;
+}
+
+std::vector<uint64_t> SeedsFromEnv(const char* var, uint64_t default_last) {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv(var)) {
+    seeds = ParseSeedSpec(env);
+  }
+  if (seeds.empty()) {
+    for (uint64_t s = 1; s <= default_last; ++s) {
+      seeds.push_back(s);
+    }
+  }
+  return seeds;
 }
 
 }  // namespace check

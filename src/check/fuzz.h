@@ -96,6 +96,14 @@ FuzzPlan ShrinkPlan(const FuzzPlan& plan, FuzzRunOptions options = {});
 std::string FormatRepro(const FuzzPlan& plan);
 Result<FuzzPlan> ParseRepro(const std::string& line);
 
+// The seed grammar shared by every seeded harness: comma- or space-
+// separated values and "a-b" ranges, e.g. "1-48" or "3, 7 9-12".
+std::vector<uint64_t> ParseSeedSpec(const std::string& spec);
+
+// The seeds environment variable `var` names, or 1..default_last when it is
+// unset or names none.
+std::vector<uint64_t> SeedsFromEnv(const char* var, uint64_t default_last);
+
 }  // namespace check
 }  // namespace rover
 

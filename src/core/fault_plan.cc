@@ -13,7 +13,7 @@ void FaultPlan::CrashServerAt(RoverServerNode* server, TimePoint t, bool tear_la
 
 void FaultPlan::CrashClientAt(RoverClientNode* client, TimePoint t, bool tear_last_record) {
   loop_->ScheduleAt(t, [this, client, tear_last_record] {
-    client_recoveries_resent_ += client->SimulateCrashAndRestart(tear_last_record);
+    client->SimulateCrashAndRestart(tear_last_record);
     ++client_crashes_executed_;
   });
 }

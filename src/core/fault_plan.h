@@ -93,7 +93,6 @@ class FaultPlan {
   Rng* rng() { return &rng_; }
   size_t server_crashes_executed() const { return server_crashes_executed_; }
   size_t client_crashes_executed() const { return client_crashes_executed_; }
-  size_t client_recoveries_resent() const { return client_recoveries_resent_; }
   size_t disk_faults_injected() const { return disk_faults_injected_; }
   size_t failovers_executed() const { return failovers_executed_; }
 
@@ -104,9 +103,8 @@ class FaultPlan {
   Rng rng_;
   size_t server_crashes_executed_ = 0;
   size_t client_crashes_executed_ = 0;
-  size_t client_recoveries_resent_ = 0;  // total requests re-sent by RecoverFromLog
-  size_t disk_faults_injected_ = 0;      // storage-fault events executed
-  size_t failovers_executed_ = 0;        // primary kills + promotions executed
+  size_t disk_faults_injected_ = 0;  // storage-fault events executed
+  size_t failovers_executed_ = 0;    // primary kills + promotions executed
 };
 
 }  // namespace rover

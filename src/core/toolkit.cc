@@ -202,8 +202,8 @@ void RoverServerNode::BuildReplication() {
     ReplicationOptions ropts;
     ropts.peer = repl_backup_peer_;
     repl_receiver_ = std::make_unique<ReplicationReceiver>(
-        loop_, transport_.get(), rover_server_.get(),
-        options_.durable ? &stable_store_ : nullptr, qrpc_server_.get(), &metrics_, ropts);
+        loop_, transport_.get(), rover_server_.get(), &stable_store_, qrpc_server_.get(),
+        &metrics_, ropts);
     if (check_ != nullptr) {
       repl_receiver_->SetCheckListener(check_);
     }
@@ -282,9 +282,8 @@ void RoverServerNode::Build() {
   transport_ = std::make_unique<TransportManager>(loop_, host_, &metrics_, options_.scheduler);
   qrpc_server_ =
       std::make_unique<QrpcServer>(loop_, transport_.get(), &metrics_, options_.qrpc);
-  rover_server_ = std::make_unique<RoverServer>(
-      loop_, transport_.get(), qrpc_server_.get(), options_.rover,
-      options_.durable ? &stable_store_ : nullptr);
+  rover_server_ = std::make_unique<RoverServer>(loop_, transport_.get(), qrpc_server_.get(),
+                                                &stable_store_, options_.rover);
   // A response-journal flush that exhausts its retries (kUnavailable) is
   // fail-stop, like a permanent sync failure: the in-memory image diverged
   // from what stable storage will recover, so discard the incarnation and
@@ -360,14 +359,6 @@ RoverServerNode* Testbed::AddBackup(const std::string& name, LinkProfile repl_li
   server_->EnableReplicationPrimary(name, sync_timeout);
   backup->EnableReplicationBackup(options_.server_name);
   return backup;
-}
-
-RoverServerNode* Testbed::FindServer(const std::string& name) {
-  if (name == options_.server_name) {
-    return server_.get();
-  }
-  auto it = extra_servers_.find(name);
-  return it == extra_servers_.end() ? nullptr : it->second.get();
 }
 
 Link* Testbed::AddLink(const std::string& host_a, const std::string& host_b,

@@ -108,10 +108,6 @@ struct ServerNodeOptions {
   QrpcServerOptions qrpc;
   RoverServerOptions rover;
   ServerStoreOptions stable_store;
-  // Journal object mutations + duplicate-cache responses to the stable
-  // store (write-ahead, per-RPC atomic transactions). Off = the seed's
-  // volatile server: a crash loses everything.
-  bool durable = true;
   // Non-zero: proactively CRC-sweep the WAL every interval (see the client
   // counterpart). Keeps the event loop non-quiescent; use RunFor.
   Duration scrub_interval = Duration::Zero();
@@ -131,13 +127,13 @@ class RoverServerNode {
   // --- primary/backup replication ---
   // Makes this node the replication primary: every committed WAL transaction
   // ships to `backup_host`, and response release waits for the backup's ack
-  // (up to `sync_timeout`; see ReplicationOptions). Requires durable = true.
+  // (up to `sync_timeout`; see ReplicationOptions).
   // Mutually exclusive with EnableReplicationBackup on the same node.
   // Survives SimulateCrashAndRestart.
   void EnableReplicationPrimary(const std::string& backup_host,
                                 Duration sync_timeout = Duration::Seconds(5));
   // Makes this node the hot standby for `primary_host`: shipped transactions
-  // are applied (and journaled, when durable) as they arrive, and a full
+  // are applied (and journaled) as they arrive, and a full
   // resync is requested on attach or after any sequence gap.
   void EnableReplicationBackup(const std::string& primary_host);
   ReplicationSender* replication_sender() { return repl_sender_.get(); }
@@ -240,7 +236,6 @@ class Testbed {
 
   // Adds another home server (objects name it via rover://<name>/<path>).
   RoverServerNode* AddServer(const std::string& name, ServerNodeOptions options = {});
-  RoverServerNode* FindServer(const std::string& name);
 
   // Connects any two existing hosts directly (e.g. a client to a second
   // home server).

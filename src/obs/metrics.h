@@ -97,10 +97,6 @@ class Registry {
   // tests/test_metrics.h instead).
   uint64_t CounterValue(const std::string& name) const;
 
-  size_t instrument_count() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
   // Deterministic snapshot of every instrument (sorted by name).
   std::string Render(RenderFormat format = RenderFormat::kText) const;
 

@@ -851,7 +851,7 @@ QrpcServer::QrpcServer(EventLoop* loop, TransportManager* transport,
 }
 
 bool QrpcServer::CorruptCachedResponseForTest(const std::string& client, uint64_t rpc_id) {
-  auto it = done_.find(ClientRpcKeyView{client, rpc_id});
+  auto it = done_.find(ClientRpcKey(client, rpc_id));
   if (it == done_.end()) {
     return false;
   }
@@ -931,17 +931,14 @@ void QrpcServer::HandleRequest(const Message& msg) {
                  msg.header.reply_via, body);
     return;
   }
-  // Probe the dup-cache with a view over the header -- no std::string is
-  // materialized unless this request actually starts executing.
-  const ClientRpcKeyView lookup{std::string_view(msg.header.src),
-                                msg.header.message_id};
+  const ClientRpcKey key(msg.header.src, msg.header.message_id);
 
   // At-most-once: a completed request is answered from the cache; an
   // in-progress one is dropped (its response is already on the way).
-  auto done_it = done_.find(lookup);
+  auto done_it = done_.find(key);
   if (done_it != done_.end()) {
     c_duplicates_->Increment();
-    if (undurable_responses_.count(lookup) > 0) {
+    if (undurable_responses_.count(key) > 0) {
       // The entry's response journal has not reported durable yet: a crash
       // could still lose the transaction this response acknowledges, so a
       // replay now would hand the client an answer the server might forget.
@@ -954,7 +951,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
       // above makes this always durable, and a regression of that gate then
       // shows up as an undurable-replay violation in SimCheck.
       check_->OnServerReplay(self(), msg.header.src, msg.header.message_id,
-                             /*durable=*/undurable_responses_.count(lookup) == 0);
+                             /*durable=*/undurable_responses_.count(key) == 0);
     }
     auto decoded = RpcResponseBody::Decode(done_it->second);
     if (!decoded.ok()) {
@@ -973,7 +970,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
                  msg.header.reply_via, *decoded);
     return;
   }
-  if (in_progress_.count(lookup) > 0) {
+  if (in_progress_.count(key) > 0) {
     c_duplicates_->Increment();
     return;
   }
@@ -1026,14 +1023,8 @@ void QrpcServer::HandleRequest(const Message& msg) {
     return;
   }
 
-  Handler* handler = nullptr;
-  auto hit = handlers_.find(request->method);
-  if (hit != handlers_.end()) {
-    handler = &hit->second;
-  } else if (default_handler_) {
-    handler = &default_handler_;
-  }
-  if (handler == nullptr) {
+  auto handler = handlers_.find(request->method);
+  if (handler == handlers_.end()) {
     c_unknown_methods_->Increment();
     RpcResponseBody body;
     body.code = StatusCode::kUnimplemented;
@@ -1043,8 +1034,6 @@ void QrpcServer::HandleRequest(const Message& msg) {
     return;
   }
 
-  // The request executes: now build the owning key that outlives the header.
-  const ClientRpcKey key = std::make_pair(msg.header.src, msg.header.message_id);
   in_progress_.insert(key);
   g_inflight_requests_->Set(static_cast<int64_t>(in_progress_.size()));
   const std::string src = msg.header.src;
@@ -1097,7 +1086,7 @@ void QrpcServer::HandleRequest(const Message& msg) {
   auto envelope_ptr = std::make_shared<Message>(msg);
   loop_->ScheduleAfter(
       options_.dispatch_cost,
-      [this, key, handler = *handler, request_ptr, envelope_ptr, respond,
+      [this, key, handler = handler->second, request_ptr, envelope_ptr, respond,
        alive = std::weak_ptr<char>(alive_)] {
         if (alive.expired()) {
           return;  // server torn down before dispatch

@@ -416,9 +416,8 @@ class QrpcServer {
   QrpcServer(EventLoop* loop, TransportManager* transport, obs::Registry* metrics,
              QrpcServerOptions options = {});
 
+  // A method with no registered handler is answered kUnimplemented.
   void RegisterHandler(const std::string& method, Handler handler);
-  // Invoked for methods with no registered handler (else kUnimplemented).
-  void SetDefaultHandler(Handler handler) { default_handler_ = std::move(handler); }
 
   // Server incarnation stamped on every response (including duplicate-cache
   // replays). Recovery bumps it; clients use the jump to detect a restart.
@@ -469,23 +468,8 @@ class QrpcServer {
   bool storage_degraded() const { return storage_degraded_; }
 
  private:
-  // Dup-cache key: (client host, rpc id). The transparent comparator lets
-  // the per-request lookups probe with a string_view over the message
-  // header instead of materializing a std::string first (the owning key is
-  // built only when an entry is actually inserted).
+  // Dup-cache key: (client host, rpc id).
   using ClientRpcKey = std::pair<std::string, uint64_t>;
-  using ClientRpcKeyView = std::pair<std::string_view, uint64_t>;
-  struct ClientRpcKeyLess {
-    using is_transparent = void;
-    static ClientRpcKeyView View(const ClientRpcKey& k) {
-      return {std::string_view(k.first), k.second};
-    }
-    static ClientRpcKeyView View(const ClientRpcKeyView& k) { return k; }
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const {
-      return View(a) < View(b);
-    }
-  };
 
   void HandleRequest(const Message& msg);
   void SendResponse(const std::string& dst, uint64_t rpc_id, Priority priority,
@@ -517,23 +501,22 @@ class QrpcServer {
   obs::Gauge* const g_inflight_requests_;
   bool storage_degraded_ = false;
   std::map<std::string, Handler> handlers_;
-  Handler default_handler_;
   // (client host, rpc id) -> cached response for at-most-once execution.
   // Buffer values: caching, journaling, replication shipping, and the
   // replay send all share one allocation of the encoded response.
-  using DoneMap = std::map<ClientRpcKey, Buffer, ClientRpcKeyLess>;
+  using DoneMap = std::map<ClientRpcKey, Buffer>;
   DoneMap done_;
   // Eviction order, oldest first. Map iterators stay valid until their own
   // entry is erased, so walking or evicting needs no second lookup.
   std::deque<DoneMap::iterator> done_order_;
-  std::set<ClientRpcKey, ClientRpcKeyLess> in_progress_;
+  std::set<ClientRpcKey> in_progress_;
   // Keys in done_ whose response-journal write has not yet been reported
   // durable. A duplicate request for such a key is dropped, not replayed:
   // the cached response acknowledges a transaction a crash could still
   // lose, and the journal-gated original send answers the client anyway
   // once the entry is durable. Entries leave via the journal release; a
   // crash discards the whole set with the rest of process state.
-  std::set<ClientRpcKey, ClientRpcKeyLess> undurable_responses_;
+  std::set<ClientRpcKey> undurable_responses_;
 };
 
 }  // namespace rover

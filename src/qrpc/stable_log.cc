@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/obs/cpu_scope.h"
-#include "src/util/compress.h"
 #include "src/util/crc32.h"
 
 namespace rover {
@@ -26,9 +25,6 @@ StableLog::StableLog(EventLoop* loop, obs::Registry* metrics, StableLogCostModel
       c_flushes_(metrics->counter("stable_log.flushes")),
       c_bytes_flushed_(metrics->counter("stable_log.bytes_flushed")),
       c_flush_time_micros_(metrics->counter("stable_log.flush_time_micros")),
-      c_raw_bytes_appended_(metrics->counter("stable_log.raw_bytes_appended")),
-      c_stored_bytes_appended_(metrics->counter("stable_log.stored_bytes_appended")),
-      c_records_compressed_(metrics->counter("stable_log.records_compressed")),
       c_flush_transient_errors_(metrics->counter("stable_log.flush_transient_errors")),
       c_flush_retries_(metrics->counter("stable_log.flush_retries")),
       c_flush_failures_(metrics->counter("stable_log.flush_failures")),
@@ -36,7 +32,6 @@ StableLog::StableLog(EventLoop* loop, obs::Registry* metrics, StableLogCostModel
       c_flush_sync_failures_(metrics->counter("stable_log.flush_sync_failures")),
       c_records_quarantined_(metrics->counter("stable_log.records_quarantined")),
       c_torn_tail_dropped_(metrics->counter("stable_log.torn_tail_records_dropped")),
-      g_compression_ratio_pct_(metrics->gauge("stable_log.compression_ratio_pct")),
       g_device_used_bytes_(metrics->gauge("stable_log.device_used_bytes")),
       h_flush_seconds_(metrics->histogram("stable_log.flush_seconds")) {
   g_device_used_bytes_->Set(static_cast<int64_t>(device_.used_bytes()));
@@ -44,20 +39,7 @@ StableLog::StableLog(EventLoop* loop, obs::Registry* metrics, StableLogCostModel
 
 StableLogStats StableLog::stats() const {
   StableLogStats s;
-  s.appends = c_appends_->value();
   s.flushes = c_flushes_->value();
-  s.bytes_flushed = c_bytes_flushed_->value();
-  s.flush_time_total = Duration::Micros(static_cast<int64_t>(c_flush_time_micros_->value()));
-  s.raw_bytes_appended = c_raw_bytes_appended_->value();
-  s.stored_bytes_appended = c_stored_bytes_appended_->value();
-  s.records_compressed = c_records_compressed_->value();
-  s.flush_transient_errors = c_flush_transient_errors_->value();
-  s.flush_retries = c_flush_retries_->value();
-  s.flush_failures = c_flush_failures_->value();
-  s.flush_enospc = c_flush_enospc_->value();
-  s.flush_sync_failures = c_flush_sync_failures_->value();
-  s.records_quarantined = c_records_quarantined_->value();
-  s.torn_tail_records_dropped = c_torn_tail_dropped_->value();
   return s;
 }
 
@@ -79,36 +61,16 @@ size_t StableLog::PendingStoredBytes() const {
 }
 
 bool StableLog::HasSpaceFor(size_t payload_bytes) const {
-  // Conservative: assumes the new record stores uncompressed.
   return device_.HasSpaceFor(PendingStoredBytes() + payload_bytes + kRecordFraming);
 }
 
 uint64_t StableLog::Append(Buffer data) {
   Record rec;
   rec.id = next_id_++;
-  rec.raw_size = data.size();
-  if (cost_model_.compress_log) {
-    Bytes packed = LzCompress(data.data(), data.size());
-    if (packed.size() < data.size()) {
-      rec.compressed = true;
-      rec.data = std::move(packed);
-      c_records_compressed_->Increment();
-    }
-  }
-  if (!rec.compressed) {
-    rec.data = std::move(data);
-  }
-  // The CRC covers the stored form: that is what the device holds and what
-  // a torn write damages.
+  rec.data = std::move(data);
   rec.crc = Crc32(rec.data.data(), rec.data.size());
   rec.durable = false;
   total_bytes_ += rec.data.size();
-  c_raw_bytes_appended_->Increment(rec.raw_size);
-  c_stored_bytes_appended_->Increment(rec.data.size());
-  if (const uint64_t raw = c_raw_bytes_appended_->value(); raw > 0) {
-    g_compression_ratio_pct_->Set(
-        static_cast<int64_t>(100 * c_stored_bytes_appended_->value() / raw));
-  }
   records_.push_back(std::move(rec));
   c_appends_->Increment();
   return records_.back().id;
@@ -127,15 +89,7 @@ Result<Buffer> StableLog::RecordPayload(const Record& rec) const {
   if (Crc32(rec.data.data(), rec.data.size()) != rec.crc) {
     return DataLossError("stable log: record CRC mismatch (latent corruption)");
   }
-  if (!rec.compressed) {
-    return rec.data;  // refcount bump; no copy
-  }
-  ROVER_ASSIGN_OR_RETURN(Bytes raw,
-                         LzDecompress(rec.data.data(), rec.data.size()));
-  if (raw.size() != rec.raw_size) {
-    return DataLossError("stable log: decompressed record size mismatch");
-  }
-  return Buffer(std::move(raw));
+  return rec.data;  // refcount bump; no copy
 }
 
 void StableLog::Flush(FlushCallback done) {

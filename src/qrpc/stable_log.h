@@ -46,12 +46,6 @@ struct StableLogCostModel {
   // serial write each. A burst of N queued QRPCs then pays ~2 sync costs
   // instead of N. On by default; E2/E8 quantify the win.
   bool group_commit = true;
-  // Compress record payloads before they hit the device (the prototype
-  // "does not perform any compression on the log", §5.2). A record is
-  // stored compressed only when that actually shrinks it; Recover() and
-  // RecordPayload() transparently decompress. Opt-in: it trades CPU for
-  // flush bytes, which only pays off on byte-constrained stable stores.
-  bool compress_log = false;
   // Transient device write errors are retried up to this many times with
   // decorrelated-jitter backoff before the flush fails with kUnavailable.
   size_t flush_max_retries = 4;
@@ -63,37 +57,23 @@ struct StableLogCostModel {
   }
 };
 
-// Snapshot assembled from the registry counters (see stats()).
+// Snapshot of the stable_log.flushes counter (see stats()), the one field
+// the benchmark harness reads.
 struct StableLogStats {
-  uint64_t appends = 0;
   uint64_t flushes = 0;
-  uint64_t bytes_flushed = 0;
-  Duration flush_time_total;
-  uint64_t raw_bytes_appended = 0;     // payload bytes before compression
-  uint64_t stored_bytes_appended = 0;  // bytes the device actually holds
-  uint64_t records_compressed = 0;
-  uint64_t flush_transient_errors = 0;  // device write errors observed
-  uint64_t flush_retries = 0;           // retry attempts scheduled
-  uint64_t flush_failures = 0;          // flushes that terminally failed
-  uint64_t flush_enospc = 0;            // flushes refused for capacity
-  uint64_t flush_sync_failures = 0;     // flushes failed by a dead sync
-  uint64_t records_quarantined = 0;     // interior-corrupt records removed
-  uint64_t torn_tail_records_dropped = 0;
 };
 
 class StableLog {
  public:
   struct Record {
     uint64_t id = 0;
-    // Stored form: LZ-compressed when `compressed` is set. A Buffer so the
-    // log can retain the caller's payload without copying it; simulated
-    // device damage (bit rot, torn writes) goes through MutableData(),
-    // whose copy-on-write keeps other holders of the same bytes intact.
+    // A Buffer so the log can retain the caller's payload without copying
+    // it; simulated device damage (bit rot, torn writes) goes through
+    // MutableData(), whose copy-on-write keeps other holders of the same
+    // bytes intact.
     Buffer data;
-    uint32_t crc = 0;  // CRC of the stored form (what the device holds)
+    uint32_t crc = 0;  // CRC of what the device holds
     bool durable = false;
-    bool compressed = false;
-    size_t raw_size = 0;  // pre-compression payload size (== data.size() if raw)
   };
 
   // Outcome of a recovery scan (see RecoverWithReport).
@@ -165,11 +145,9 @@ class StableLog {
   // any mutation of the log.
   const Record* FindRecord(uint64_t id) const;
 
-  // The record's original (uncompressed) payload. Readers must use this
-  // instead of touching `data` directly -- with compress_log on, `data`
-  // holds the stored form. Uncompressed records cost a refcount bump, not
-  // a copy. kDataLoss if the record is corrupt (CRC mismatch, i.e. latent
-  // bit rot surfacing at read time).
+  // The record's payload after a CRC check: a refcount bump, not a copy.
+  // kDataLoss if the record is corrupt (CRC mismatch, i.e. latent bit rot
+  // surfacing at read time).
   Result<Buffer> RecordPayload(const Record& rec) const;
 
   // Id of the oldest record still in the log, or 0 when empty.
@@ -214,8 +192,8 @@ class StableLog {
   StableDevice* device() { return &device_; }
   const StableDevice* device() const { return &device_; }
 
-  // Snapshot of the registry counters. Tests and benches read the registry
-  // by name; this remains for the benchmark harness.
+  // Snapshot of the flush counter. Tests and benches read the registry by
+  // name; this remains for the benchmark harness.
   StableLogStats stats() const;
   const StableLogCostModel& cost_model() const { return cost_model_; }
 
@@ -262,9 +240,6 @@ class StableLog {
   obs::Counter* const c_flushes_;
   obs::Counter* const c_bytes_flushed_;
   obs::Counter* const c_flush_time_micros_;
-  obs::Counter* const c_raw_bytes_appended_;     // payload bytes before compression
-  obs::Counter* const c_stored_bytes_appended_;  // bytes the device actually holds
-  obs::Counter* const c_records_compressed_;
   obs::Counter* const c_flush_transient_errors_;  // device write errors observed
   obs::Counter* const c_flush_retries_;           // retry attempts scheduled
   obs::Counter* const c_flush_failures_;          // flushes that terminally failed
@@ -272,7 +247,6 @@ class StableLog {
   obs::Counter* const c_flush_sync_failures_;     // flushes failed by a dead sync
   obs::Counter* const c_records_quarantined_;     // interior-corrupt records removed
   obs::Counter* const c_torn_tail_dropped_;
-  obs::Gauge* const g_compression_ratio_pct_;
   obs::Gauge* const g_device_used_bytes_;
   obs::Histogram* const h_flush_seconds_;
 };

@@ -277,12 +277,4 @@ void Link::SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback
   }
 }
 
-void Link::NotifyWhenUp(std::function<void()> cb) {
-  const TimePoint up = NextUpTime();
-  if (up == TimePoint::FromMicros(INT64_MAX)) {
-    return;  // never up again; callback dropped
-  }
-  loop_->ScheduleAt(up, std::move(cb));
-}
-
 }  // namespace rover

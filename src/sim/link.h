@@ -101,19 +101,15 @@ class Link {
   // Irreversible; frames already in transit complete or are lost per the
   // schedule as it stood when they were sent. Notifies state observers.
   void ForceDown();
-  bool forced_down() const { return forced_down_; }
 
   // Observers fire on administrative state changes (currently: ForceDown).
-  // Hosts register one per endpoint to wake their peer observers.
+  // Hosts register one per endpoint to raise their peer-change upcall.
   void AddStateObserver(std::function<void()> observer);
 
   void SetFrameHandler(const std::string& receiving_host, FrameHandler handler);
 
   // Sends `frame` from `from_host` to its peer. `done` may be null.
   void SendFrame(const std::string& from_host, Bytes frame, DeliveryCallback done);
-
-  // One-shot: runs `cb` the next time the link is up (immediately if up now).
-  void NotifyWhenUp(std::function<void()> cb);
 
   // Pure serialization time for `payload_bytes` at this profile (packetized,
   // with header overhead; no latency, queueing, or connect cost).

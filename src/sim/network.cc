@@ -1,6 +1,5 @@
 #include "src/sim/network.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace rover {
@@ -19,8 +18,8 @@ const std::vector<Link*>& Host::LinksTo(const std::string& peer) const {
     ++g_link_scan_steps;
     return kNoLinks;
   }
-  g_link_scan_steps += it->second.links.size();
-  return it->second.links;
+  g_link_scan_steps += it->second.size();
+  return it->second;
 }
 
 bool Host::CanReach(const std::string& peer) const {
@@ -30,7 +29,7 @@ bool Host::CanReach(const std::string& peer) const {
     return false;
   }
   // The peer index keeps this to the peer's own (few) links.
-  for (Link* link : it->second.links) {
+  for (Link* link : it->second) {
     ++g_link_scan_steps;
     if (link->IsUp()) {
       return true;
@@ -39,58 +38,35 @@ bool Host::CanReach(const std::string& peer) const {
   return false;
 }
 
-void Host::SetReceiver(Receiver receiver, const void* owner) {
+void Host::SetReceiver(Receiver receiver, const void* owner, PeerChanged peer_changed) {
   receiver_ = std::move(receiver);
+  peer_changed_ = std::move(peer_changed);
   receiver_owner_ = owner;
 }
 
 void Host::ClearReceiver(const void* owner) {
   if (receiver_owner_ == owner) {
     receiver_ = nullptr;
+    peer_changed_ = nullptr;
     receiver_owner_ = nullptr;
   }
 }
 
-void Host::AddPeerObserver(const std::string& peer, std::function<void()> observer,
-                           const void* owner) {
-  peers_[peer].observers.emplace_back(owner, std::move(observer));
-}
-
-void Host::RemovePeerObservers(const void* owner) {
-  for (auto& [peer, entry] : peers_) {
-    auto& obs = entry.observers;
-    obs.erase(std::remove_if(obs.begin(), obs.end(),
-                             [owner](const auto& o) { return o.first == owner; }),
-              obs.end());
+void Host::OnPeerChanged(const std::string& peer) {
+  if (peer_changed_) {
+    peer_changed_(peer);
   }
-}
-
-void Host::NotifyPeerChange(PeerEntry& entry) {
-  // Copy: an observer may re-arm (append) while we iterate.
-  const auto observers = entry.observers;
-  for (const auto& [owner, fn] : observers) {
-    fn();
-  }
-}
-
-void Host::OnLinkForcedDown(const std::string& peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) {
-    return;
-  }
-  NotifyPeerChange(it->second);
 }
 
 void Host::Attach(Link* link) {
   links_.push_back(link);
   const std::string peer = link->PeerOf(name_);
-  PeerEntry& entry = peers_[peer];
-  entry.links.push_back(link);
-  link->AddStateObserver([this, peer] { OnLinkForcedDown(peer); });
+  peers_[peer].push_back(link);
+  link->AddStateObserver([this, peer] { OnPeerChanged(peer); });
   link->SetFrameHandler(name_, [this](Bytes frame, const std::string& from) {
     HandleFrame(std::move(frame), from);
   });
-  NotifyPeerChange(entry);
+  OnPeerChanged(peer);
 }
 
 void Host::HandleFrame(Bytes frame, const std::string& from) {

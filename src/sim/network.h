@@ -53,38 +53,34 @@ class Host {
   // links.
   bool CanReach(const std::string& peer) const;
 
-  // Registers the upcall for frames arriving on any attached link. `owner`
-  // identifies the registrant so ClearReceiver can be a no-op when someone
-  // else has re-registered since (a replacement transport may be built
-  // before its predecessor is destroyed).
-  void SetReceiver(Receiver receiver, const void* owner = nullptr);
-  void ClearReceiver(const void* owner);
+  // Fires when a link to `peer` is attached or forced down. This is how a
+  // parked queue learns its peer's link set changed without a wakeup scan
+  // on every unrelated link event.
+  using PeerChanged = std::function<void(const std::string& peer)>;
 
-  // Per-peer link-state observers: fire when a link to `peer` is attached
-  // or forced down. This is how N parked queues avoid N wakeup scans on
-  // every unrelated link event. `owner` scopes removal.
-  void AddPeerObserver(const std::string& peer, std::function<void()> observer,
-                       const void* owner);
-  void RemovePeerObservers(const void* owner);
+  // Registers the upcalls for frames arriving on any attached link and for
+  // peer link-set changes. `owner` identifies the registrant so
+  // ClearReceiver can be a no-op when someone else has re-registered since
+  // (a replacement transport may be built before its predecessor is
+  // destroyed).
+  void SetReceiver(Receiver receiver, const void* owner = nullptr,
+                   PeerChanged peer_changed = nullptr);
+  void ClearReceiver(const void* owner);
 
  private:
   friend class Network;
   explicit Host(std::string name) : name_(std::move(name)) {}
 
-  struct PeerEntry {
-    std::vector<Link*> links;
-    std::vector<std::pair<const void*, std::function<void()>>> observers;
-  };
-
   void Attach(Link* link);
   void HandleFrame(Bytes frame, const std::string& from);
-  void OnLinkForcedDown(const std::string& peer);
-  void NotifyPeerChange(PeerEntry& entry);
+  void OnPeerChanged(const std::string& peer);
 
   std::string name_;
   std::vector<Link*> links_;
-  std::unordered_map<std::string, PeerEntry> peers_;
+  // Peer name -> links to it, in attachment order.
+  std::unordered_map<std::string, std::vector<Link*>> peers_;
   Receiver receiver_;
+  PeerChanged peer_changed_;
   const void* receiver_owner_ = nullptr;
 };
 

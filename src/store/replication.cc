@@ -65,6 +65,7 @@ ReplicationSender::ReplicationSender(EventLoop* loop, TransportManager* transpor
                                      obs::Registry* metrics, ReplicationOptions options)
     : loop_(loop), transport_(transport), options_(std::move(options)),
       c_shipped_(metrics->counter("replication_sender.txns_shipped")),
+      c_bytes_shipped_(metrics->counter("replication_sender.bytes_shipped")),
       c_acks_(metrics->counter("replication_sender.acks_received")),
       c_resyncs_(metrics->counter("replication_sender.resyncs_served")),
       c_degrades_(metrics->counter("replication_sender.sync_degrades")),
@@ -79,24 +80,31 @@ ReplicationSender::~ReplicationSender() {
   transport_->SetHandler(MessageType::kControl, nullptr);
 }
 
+ReplicationSenderStats ReplicationSender::stats() const {
+  ReplicationSenderStats s;
+  s.transactions_shipped = c_shipped_->value();
+  s.bytes_shipped = c_bytes_shipped_->value();
+  s.acks_received = c_acks_->value();
+  s.resyncs_served = c_resyncs_->value();
+  s.sync_degrades = c_degrades_->value();
+  return s;
+}
+
 void ReplicationSender::Ship(uint64_t seq, uint64_t epoch, const ServerTransaction& txn) {
   Message msg;
   msg.header.type = MessageType::kControl;
   msg.header.priority = Priority::kDefault;
   msg.header.dst = options_.peer;
   msg.payload = EncodeTxnMessage(seq, epoch, txn);
-  const size_t bytes = msg.payload.size();
+  c_bytes_shipped_->Increment(msg.payload.size());
   transport_->Send(std::move(msg));
   last_shipped_ = std::max(last_shipped_, seq);
-  ++stats_.transactions_shipped;
-  stats_.bytes_shipped += bytes;
   c_shipped_->Increment();
   UpdateLagGauge();
 }
 
 void ReplicationSender::GateRelease(uint64_t seq, std::function<void()> release) {
-  if (options_.sync_timeout <= Duration::Zero() || degraded_ ||
-      seq <= acked_watermark_) {
+  if (degraded_ || seq <= acked_watermark_) {
     release();
     return;
   }
@@ -122,7 +130,6 @@ void ReplicationSender::HandleControl(const Message& msg) {
 }
 
 void ReplicationSender::AckWatermark(uint64_t watermark) {
-  ++stats_.acks_received;
   c_acks_->Increment();
   if (watermark <= acked_watermark_) {
     return;
@@ -151,7 +158,6 @@ void ReplicationSender::ServeResync() {
   msg.header.dst = options_.peer;
   msg.payload = EncodeSnapshotMessage(image);
   transport_->Send(std::move(msg));
-  ++stats_.resyncs_served;
   c_resyncs_->Increment();
 }
 
@@ -175,7 +181,6 @@ void ReplicationSender::ArmDegradeTimer() {
       // from here on is no longer guaranteed to survive a failover, which
       // the checker is told about.
       degraded_ = true;
-      ++stats_.sync_degrades;
       c_degrades_->Increment();
       ROVER_LOG(Info) << "replication to " << options_.peer
                       << " degraded to async (watermark " << acked_watermark_
@@ -226,8 +231,6 @@ ReplicationReceiver::~ReplicationReceiver() {
 }
 
 uint64_t ReplicationReceiver::Promote() {
-  const uint64_t durable_epoch =
-      stable_store_ != nullptr ? stable_store_->epoch() : qrpc_->epoch();
   if (promoted_) {
     return qrpc_->epoch();
   }
@@ -237,10 +240,8 @@ uint64_t ReplicationReceiver::Promote() {
   // clients treat the takeover like a restart of their home server.
   // Transactions still buffered behind a sequence gap are discarded: they
   // were never acked, so the primary never released their responses.
-  const uint64_t epoch = std::max(durable_epoch, primary_epoch_seen_) + 1;
-  if (stable_store_ != nullptr) {
-    stable_store_->AdoptEpoch(epoch);
-  }
+  const uint64_t epoch = std::max(stable_store_->epoch(), primary_epoch_seen_) + 1;
+  stable_store_->AdoptEpoch(epoch);
   qrpc_->set_epoch(epoch);
   buffered_.clear();
   c_promotions_->Increment();

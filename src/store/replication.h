@@ -57,14 +57,12 @@ struct ReplicationOptions {
   // primary host for a receiver.
   std::string peer;
   // How long a gated response may wait for the backup's ack before the
-  // sender degrades to asynchronous shipping. Zero disables the gate
-  // entirely (pure async shipping).
+  // sender degrades to asynchronous shipping.
   Duration sync_timeout = Duration::Seconds(5);
 };
 
-// Kept beside the replication_sender.* registry counters: the benchmark
-// harness and bench_failover read transactions_shipped and bytes_shipped
-// from it, and bytes_shipped has no registry counter.
+// Snapshot of the replication_sender.* registry counters (see stats()),
+// kept for the benchmark harness and bench_failover.
 struct ReplicationSenderStats {
   uint64_t transactions_shipped = 0;
   uint64_t bytes_shipped = 0;
@@ -96,7 +94,7 @@ class ReplicationSender {
   void Ship(uint64_t seq, uint64_t epoch, const ServerTransaction& txn);
 
   // Runs `release` once the acked watermark covers `seq` (immediately if it
-  // already does, or if the sender is degraded / the gate is disabled).
+  // already does, or if the sender is degraded).
   void GateRelease(uint64_t seq, std::function<void()> release);
 
   // Supplies the full-image snapshot served to a backup that requests a
@@ -113,11 +111,9 @@ class ReplicationSender {
 
   uint64_t last_shipped() const { return last_shipped_; }
   uint64_t acked_watermark() const { return acked_watermark_; }
-  // Shipped-but-unacked transactions: the replication lag a failover right
-  // now would expose.
-  uint64_t LagRecords() const { return last_shipped_ - acked_watermark_; }
   bool degraded() const { return degraded_; }
-  const ReplicationSenderStats& stats() const { return stats_; }
+  // Built from the registry counters.
+  ReplicationSenderStats stats() const;
 
  private:
   struct GatedRelease {
@@ -142,8 +138,8 @@ class ReplicationSender {
   bool degraded_ = false;
   std::deque<GatedRelease> gated_;  // seq-ordered (commit order)
   bool degrade_timer_armed_ = false;
-  ReplicationSenderStats stats_;
   obs::Counter* const c_shipped_;
+  obs::Counter* const c_bytes_shipped_;
   obs::Counter* const c_acks_;
   obs::Counter* const c_resyncs_;
   obs::Counter* const c_degrades_;
@@ -157,8 +153,9 @@ class ReplicationSender {
 // the promotion (epoch fence) when the primary dies.
 class ReplicationReceiver {
  public:
-  // Counts into `metrics` under "replication_receiver.". Construction
-  // already requests the bootstrap resync.
+  // Counts into `metrics` under "replication_receiver.". Shipped
+  // transactions and snapshots are journaled to `stable_store` before they
+  // are acked. Construction already requests the bootstrap resync.
   ReplicationReceiver(EventLoop* loop, TransportManager* transport,
                       RoverServer* server, ServerStableStore* stable_store,
                       QrpcServer* qrpc, obs::Registry* metrics, ReplicationOptions options);
@@ -173,7 +170,6 @@ class ReplicationReceiver {
 
   bool promoted() const { return promoted_; }
   uint64_t last_applied() const { return last_applied_; }
-  uint64_t primary_epoch_seen() const { return primary_epoch_seen_; }
 
  private:
   void HandleControl(const Message& msg);
@@ -187,7 +183,7 @@ class ReplicationReceiver {
   EventLoop* loop_;
   TransportManager* transport_;
   RoverServer* server_;
-  ServerStableStore* stable_store_;  // may be null (volatile backup)
+  ServerStableStore* stable_store_;
   QrpcServer* qrpc_;
   ReplicationOptions options_;
   obs::CheckListener* check_ = nullptr;

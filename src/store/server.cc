@@ -61,13 +61,11 @@ RpcResponseBody ValueResponse(RpcValue value) {
 }  // namespace
 
 RoverServer::RoverServer(EventLoop* loop, TransportManager* transport, QrpcServer* qrpc,
-                         RoverServerOptions options, ServerStableStore* stable_store)
+                         ServerStableStore* stable_store, RoverServerOptions options)
     : loop_(loop), transport_(transport), qrpc_(qrpc), options_(options),
       stable_store_(stable_store) {
   RegisterMethods();
-  if (stable_store_ != nullptr) {
-    WireDurability();
-  }
+  WireDurability();
 }
 
 void RoverServer::WireDurability() {
@@ -246,9 +244,6 @@ void RoverServer::FinishWalRecovery(bool ok) {
 }
 
 size_t RoverServer::ScrubStableStore() {
-  if (stable_store_ == nullptr) {
-    return 0;
-  }
   const StableLog::ScrubReport report = stable_store_->ScrubWal();
   if (report.quarantined.empty()) {
     return 0;
@@ -300,12 +295,6 @@ void RoverServer::ApplyReplicatedTransaction(const ServerTransaction& txn,
   if (txn.has_response) {
     qrpc_->RestoreCachedResponse(txn.client, txn.rpc_id, txn.response);
   }
-  if (stable_store_ == nullptr) {
-    if (done) {
-      done(Status::Ok());
-    }
-    return;
-  }
   stable_store_->LogTransaction(txn);
   stable_store_->Flush([weak = std::weak_ptr<char>(alive_),
                         done = std::move(done)](const Status& flushed) {
@@ -333,12 +322,6 @@ void RoverServer::AdoptReplicatedSnapshot(Bytes object_image,
                                  std::move(entry.response));
   }
   instances_.clear();
-  if (stable_store_ == nullptr) {
-    if (done) {
-      done();
-    }
-    return;
-  }
   WriteSnapshot(std::move(done));
 }
 
@@ -736,9 +719,6 @@ void RoverServer::HandlePoll(const RpcRequestBody& req, const Message& envelope,
 
 void RoverServer::NotifySubscribers(const std::string& name, uint64_t version,
                                     const std::string& except_host) {
-  if (!options_.send_invalidations) {
-    return;
-  }
   if (subscribers_.find(name) == subscribers_.end()) {
     return;
   }

@@ -29,7 +29,6 @@ struct RoverServerOptions {
   ExecLimits rdo_limits;
   RdoCostModel rdo_costs;
   size_t instance_cache_max = 64;
-  bool send_invalidations = true;
   // Invalidations are best-effort: a non-zero TTL withdraws ones still
   // queued for an unreachable subscriber after this long instead of letting
   // them pile up behind a dead link. Zero = queue forever.
@@ -77,12 +76,11 @@ enum class ImportReplyKind : uint8_t { kFull = 0, kDelta = 1, kNotModified = 2 }
 
 class RoverServer {
  public:
-  // With a non-null `stable_store`, every RPC's store mutations and its
-  // duplicate-cache response entry are journaled as one atomic WAL
-  // transaction before the response leaves, and the WAL is compacted into
-  // snapshots as it grows.
+  // Every RPC's store mutations and its duplicate-cache response entry are
+  // journaled to `stable_store` as one atomic WAL transaction before the
+  // response leaves, and the WAL is compacted into snapshots as it grows.
   RoverServer(EventLoop* loop, TransportManager* transport, QrpcServer* qrpc,
-              RoverServerOptions options = {}, ServerStableStore* stable_store = nullptr);
+              ServerStableStore* stable_store, RoverServerOptions options = {});
 
   ObjectStore* store() { return &store_; }
   ConflictResolverRegistry* resolvers() { return &resolvers_; }
@@ -196,7 +194,7 @@ class RoverServer {
   TransportManager* transport_;
   QrpcServer* qrpc_;
   RoverServerOptions options_;
-  ServerStableStore* stable_store_;  // may be null: volatile server
+  ServerStableStore* stable_store_;
   ReplicationSender* replication_ = nullptr;  // non-null on a primary
   obs::CheckListener* check_ = nullptr;
   RoverServerStats stats_;
@@ -209,7 +207,7 @@ class RoverServer {
   std::map<std::pair<std::string, uint64_t>, std::vector<ReplayOp>> pending_ops_;
   // Consecutive expired invalidations per subscriber host.
   std::map<std::string, size_t> invalidation_failures_;
-  // Same-tick invalidation batching: commits occurring at one virtual
+  // Same-tick invalidation coalescing: commits occurring at one virtual
   // instant are coalesced per object (latest version wins) and flushed by a
   // single deferred event, so a burst of imports to one object does not
   // fan out once per commit. Ordered map: flush order is deterministic.

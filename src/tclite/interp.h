@@ -116,7 +116,6 @@ class Interp {
   // --- Commands ---
 
   void RegisterCommand(const std::string& name, HostCommand command);
-  bool HasCommand(const std::string& name) const;
   std::vector<std::string> CommandNames() const;
 
   // Procs defined by `proc`; exposed so RDOs can serialize their methods.
@@ -134,7 +133,6 @@ class Interp {
   const ExecLimits& limits() const { return limits_; }
   // Resets the per-window command budget (call before each untrusted entry).
   void ResetBudget() { budget_used_ = 0; }
-  uint64_t budget_used() const { return budget_used_; }
 
   // Charges one unit against the command budget; false once exhausted.
   // Loop builtins call this per iteration so that empty or expr-only loop

@@ -1,8 +1,8 @@
 // Transport-layer messages. Every unit the network scheduler moves -- QRPC
 // requests, responses, acknowledgements, control traffic -- is a Message:
 // a small self-describing header plus an opaque payload. Messages travel in
-// frames; a frame carries a batch of one or more messages (batching
-// amortizes per-packet header overhead on slow links).
+// frames; a frame carries a batch of one or more messages (a batch pays
+// per-packet header overhead on slow links once).
 
 #ifndef ROVER_SRC_TRANSPORT_MESSAGE_H_
 #define ROVER_SRC_TRANSPORT_MESSAGE_H_

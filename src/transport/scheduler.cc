@@ -41,13 +41,6 @@ NetworkScheduler::NetworkScheduler(EventLoop* loop, Host* host, obs::Registry* m
   g_breakers_open_->Set(0);
 }
 
-NetworkScheduler::~NetworkScheduler() {
-  // The alive_ token already neutralizes queued observer fires, but
-  // deregistering keeps a long-lived host's observer lists from
-  // accumulating dead entries across transport rebuilds.
-  host_->RemovePeerObservers(this);
-}
-
 NetworkScheduler::DestId NetworkScheduler::InternDest(const std::string& dest) {
   auto [it, inserted] = dest_ids_.try_emplace(dest, static_cast<DestId>(dests_.size()));
   if (inserted) {
@@ -90,9 +83,7 @@ void NetworkScheduler::Put(DestId id, Pending p, bool at_front) {
   const uint64_t message_id = p.msg.header.message_id;
   PendingList& pq = q.by_priority[prio];
   q.index.try_emplace(message_id, pq.insert(at_front ? pq.begin() : pq.end(), std::move(p)));
-  if (q.queued_count++ == 0) {
-    nonempty_dests_.insert(id);
-  }
+  ++q.queued_count;
   q.queued_bytes += bytes;
   if (prio == kBackgroundPrio && q.background_count++ == 0) {
     background_dests_.insert(id);
@@ -105,9 +96,7 @@ NetworkScheduler::Pending NetworkScheduler::Take(DestId id, int prio,
                                                  PendingList::iterator it) {
   DestQueue& q = dests_[id];
   const size_t bytes = it->msg.payload.size();
-  if (--q.queued_count == 0) {
-    nonempty_dests_.erase(id);
-  }
+  --q.queued_count;
   q.queued_bytes -= bytes;
   if (prio == kBackgroundPrio && --q.background_count == 0) {
     background_dests_.erase(id);
@@ -382,8 +371,6 @@ void NetworkScheduler::TryDrain(DestId id) {
 
 void NetworkScheduler::SendBatch(DestId id, Link* link) {
   DestQueue& q = dests_[id];
-  const size_t max_msgs = options_.batching ? options_.max_batch_messages : 1;
-  const size_t max_bytes = options_.batching ? options_.max_batch_bytes : SIZE_MAX;
   const TimePoint now = loop_->now();
 
   std::vector<Pending> batch;
@@ -397,7 +384,7 @@ void NetworkScheduler::SendBatch(DestId id, Link* link) {
   // message's serialization time.
   for (int prio = 0; prio < kNumPriorities && batch.empty(); ++prio) {
     PendingList& pq = q.by_priority[prio];
-    const size_t prio_max = prio == kBackgroundPrio ? 1 : max_msgs;
+    const size_t prio_max = prio == kBackgroundPrio ? 1 : options_.max_batch_messages;
     while (!pq.empty() && batch.size() < prio_max) {
       const Pending& front = pq.front();
       if (front.expires_at <= now) {
@@ -414,7 +401,7 @@ void NetworkScheduler::SendBatch(DestId id, Link* link) {
         continue;
       }
       const size_t sz = front.msg.EncodedSize();
-      if (!batch.empty() && bytes + sz > max_bytes) {
+      if (!batch.empty() && bytes + sz > options_.max_batch_bytes) {
         break;
       }
       bytes += sz;
@@ -536,14 +523,14 @@ void NetworkScheduler::HandleBatchOutcome(DestId id, std::vector<Pending> batch,
 bool NetworkScheduler::ArmUpWakeup(DestId id) {
   DestQueue& q = dests_[id];
   // Any queue parking here cares about future link events for its peer:
-  // make sure the host tells us about them (attach, force-down) directly.
-  ArmPeerObserver(id);
+  // OnPeerChanged re-evaluates it on attach and force-down from now on.
+  q.parked = true;
   if (q.waiting_for_up) {
     return true;
   }
   // Find the link to `dest` that comes up soonest and schedule a wakeup.
   // The computation is only valid for the link set as it stands right now;
-  // the peer observer re-runs it when that set changes.
+  // OnPeerChanged re-runs it when that set changes.
   Link* soonest = nullptr;
   bool has_link = false;
   TimePoint best = TimePoint::FromMicros(INT64_MAX);
@@ -558,9 +545,9 @@ bool NetworkScheduler::ArmUpWakeup(DestId id) {
   }
   if (soonest == nullptr) {
     // No wakeup to arm. With no link at all a route may still be attached
-    // later (Host::Attach fires the peer observer armed above, which
-    // retries); with links that will never come up again the destination is
-    // dead -- report that to the caller.
+    // later (Host::Attach fires OnPeerChanged, which retries); with links
+    // that will never come up again the destination is dead -- report that
+    // to the caller.
     return !has_link;
   }
   q.waiting_for_up = true;
@@ -586,32 +573,24 @@ bool NetworkScheduler::ArmUpWakeup(DestId id) {
   return true;
 }
 
-void NetworkScheduler::ArmPeerObserver(DestId id) {
-  DestQueue& q = dests_[id];
-  if (q.peer_observer_armed) {
+void NetworkScheduler::OnPeerChanged(const std::string& peer) {
+  auto it = dest_ids_.find(peer);
+  if (it == dest_ids_.end()) {
     return;
   }
-  q.peer_observer_armed = true;
-  host_->AddPeerObserver(
-      q.name,
-      [this, id, alive = std::weak_ptr<char>(alive_)] {
-        if (alive.expired()) {
-          return;  // scheduler torn down; host outlived it
-        }
-        DestQueue& dq = dests_[id];
-        if (dq.in_flight || dq.empty()) {
-          return;
-        }
-        // The link set toward this peer changed: any armed wakeup was
-        // computed against the old set, so recompute from scratch.
-        if (dq.waiting_for_up) {
-          loop_->Cancel(dq.up_wakeup_event);
-          dq.waiting_for_up = false;
-          dq.up_wakeup_event = kInvalidEventId;
-        }
-        TryDrain(id);
-      },
-      this);
+  const DestId id = it->second;
+  DestQueue& q = dests_[id];
+  if (!q.parked || q.in_flight || q.empty()) {
+    return;
+  }
+  // The link set toward this peer changed: any armed wakeup was computed
+  // against the old set, so recompute from scratch.
+  if (q.waiting_for_up) {
+    loop_->Cancel(q.up_wakeup_event);
+    q.waiting_for_up = false;
+    q.up_wakeup_event = kInvalidEventId;
+  }
+  TryDrain(id);
 }
 
 void NetworkScheduler::NoteDestUnreachable(DestId id) {

@@ -4,7 +4,7 @@
 // quality". It also implements the two channel optimizations the paper's
 // evaluation studies:
 //
-//   * batching: coalescing queued messages into a single frame so that slow
+//   * batches: coalescing queued messages into a single frame so that slow
 //     links pay per-packet header overhead once per batch, and
 //   * compression: LZ-compressing marshalled payloads before transmission.
 //
@@ -45,7 +45,8 @@
 namespace rover {
 
 struct SchedulerOptions {
-  bool batching = true;
+  // Batching bounds per frame; max_batch_messages = 1 sends one message per
+  // frame.
   size_t max_batch_messages = 16;
   size_t max_batch_bytes = 32 * 1024;
   bool compress = false;
@@ -96,7 +97,6 @@ class NetworkScheduler {
   // Counts into `metrics` under "scheduler.".
   NetworkScheduler(EventLoop* loop, Host* host, obs::Registry* metrics,
                    SchedulerOptions options = {});
-  ~NetworkScheduler();
 
   // Queues `msg` for delivery to msg.header.dst. Returns immediately;
   // `delivered` (may be null) fires when a link accepts the frame carrying
@@ -145,6 +145,12 @@ class NetworkScheduler {
   // Highest-quality (bandwidth) currently-up link to `dest`, or nullptr.
   Link* PickLink(const std::string& dest) const;
 
+  // The host's peer-change upcall (wired by TransportManager): a link to
+  // `peer` was attached or forced down. A queue to that peer that has
+  // parked re-evaluates from scratch; one that never parked, or that waits
+  // on a loss backoff or breaker cooldown, is left alone.
+  void OnPeerChanged(const std::string& peer);
+
  private:
   // Dense interned destination id; index into dests_.
   using DestId = uint32_t;
@@ -172,11 +178,10 @@ class NetworkScheduler {
     size_t background_count = 0;
     bool in_flight = false;
     bool waiting_for_up = false;
-    // A per-peer link-state observer is registered with the host the first
-    // time this queue parks with no usable link; it stays registered for
-    // the scheduler's lifetime (observer fires are rare: attach/force-down
-    // of a link to this one peer, never unrelated link events).
-    bool peer_observer_armed = false;
+    // Set the first time this queue parks with no usable link; from then on
+    // OnPeerChanged re-evaluates it (peer changes are rare: attach or
+    // force-down of a link to this one peer, never unrelated link events).
+    bool parked = false;
     EventId up_wakeup_event = kInvalidEventId;
     int consecutive_losses = 0;
     // Retry pacing and overload state (configured lazily in InternDest).
@@ -197,7 +202,7 @@ class NetworkScheduler {
   // The one way into a destination queue: appends `p` to its priority
   // queue (prepends it when `at_front`, for a failed frame's requeue),
   // indexes it unless its id is already indexed there, and counts it in
-  // (also maintaining the nonempty/background active-destination sets).
+  // (also maintaining the background active-destination set).
   void Put(DestId id, Pending p, bool at_front = false);
   // The one way out: counts the entry out, drops the index slot only if it
   // names this entry, erases the node and returns the entry. Fires nothing;
@@ -215,10 +220,6 @@ class NetworkScheduler {
   // Returns false when no wakeup could be armed because no link to `dest`
   // will ever come up again (dead destination).
   bool ArmUpWakeup(DestId id);
-  // Registers (once) a host peer-observer for this destination: fires when
-  // a link to the peer is attached or forced down, re-evaluating just this
-  // queue instead of every parked destination.
-  void ArmPeerObserver(DestId id);
   // Verdict for a destination with queued traffic, no up link, and no
   // scheduled reconnection: force the breaker open so observers (failover)
   // learn the destination is gone.
@@ -237,10 +238,9 @@ class NetworkScheduler {
   // references to them stay valid.
   std::unordered_map<std::string, DestId> dest_ids_;
   std::deque<DestQueue> dests_;
-  // Active-destination sets, maintained on 0 <-> nonzero transitions of the
-  // per-dest counters. Ordered so iteration order is deterministic (the
-  // simulator replays byte-identically from a seed).
-  std::set<DestId> nonempty_dests_;
+  // Destinations with queued background traffic, maintained on 0 <-> nonzero
+  // transitions of background_count. Ordered so shedding visits them in a
+  // deterministic order (the simulator replays byte-identically from a seed).
   std::set<DestId> background_dests_;
   RetryBudget retry_budget_;
   size_t total_queued_ = 0;

@@ -20,10 +20,8 @@ void SmtpRelay::HandleEnvelope(const Message& envelope) {
     return;
   }
   ++stats_.envelopes_accepted;
-  ++spooled_;
   auto msg = std::make_shared<Message>(std::move(*inner));
   loop_->ScheduleAfter(options_.forward_delay, [this, msg] {
-    --spooled_;
     ++stats_.envelopes_forwarded;
     // Keep the original sender in header.src; the relay is transparent.
     // The scheduler queues until a link to the destination is up.

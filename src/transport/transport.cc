@@ -12,12 +12,9 @@ TransportManager::TransportManager(EventLoop* loop, Host* host, obs::Registry* m
     : loop_(loop), host_(host), scheduler_(loop, host, metrics, options),
       c_frames_corrupt_dropped_(metrics->counter("transport.frames_corrupt_dropped")),
       c_messages_undecodable_(metrics->counter("transport.messages_undecodable")) {
-  // Link attachments reach the scheduler's parked queues through the
-  // per-peer observers it registers with the host (see
-  // NetworkScheduler::ArmPeerObserver), not through the transport.
-  host_->SetReceiver([this](Bytes frame, const std::string& from) {
-    HandleFrame(std::move(frame), from);
-  }, this);
+  host_->SetReceiver(
+      [this](Bytes frame, const std::string& from) { HandleFrame(std::move(frame), from); },
+      this, [this](const std::string& peer) { scheduler_.OnPeerChanged(peer); });
 }
 
 TransportManager::~TransportManager() {

@@ -28,10 +28,6 @@ inline Bytes BytesFromString(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
-inline std::string StringFromBytes(const Bytes& b) {
-  return std::string(b.begin(), b.end());
-}
-
 // Encoded length of `v` as a LEB128 varint (what WireWriter::WriteVarint
 // appends).
 inline size_t VarintSize(uint64_t v) {

@@ -1,13 +1,11 @@
 #include "src/util/logging.h"
 
 #include <cstdio>
-#include <utility>
 
 namespace rover {
 namespace {
 
 LogLevel g_level = LogLevel::kOff;
-std::function<TimePoint()> g_time_provider;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -31,12 +29,6 @@ void Logger::SetLevel(LogLevel level) { g_level = level; }
 
 LogLevel Logger::level() { return g_level; }
 
-std::function<TimePoint()> Logger::SetTimeProvider(std::function<TimePoint()> provider) {
-  auto old = std::move(g_time_provider);
-  g_time_provider = std::move(provider);
-  return old;
-}
-
 void Logger::Emit(LogLevel level, const char* file, int line, const std::string& message) {
   if (level < g_level) {
     return;
@@ -48,12 +40,7 @@ void Logger::Emit(LogLevel level, const char* file, int line, const std::string&
       base = p + 1;
     }
   }
-  if (g_time_provider) {
-    std::fprintf(stderr, "[%s %10.6f %s:%d] %s\n", LevelTag(level),
-                 g_time_provider().seconds(), base, line, message.c_str());
-  } else {
-    std::fprintf(stderr, "[%s %s:%d] %s\n", LevelTag(level), base, line, message.c_str());
-  }
+  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelTag(level), base, line, message.c_str());
 }
 
 }  // namespace rover

@@ -1,15 +1,11 @@
 // Minimal leveled logging. Off by default (benchmarks and tests stay quiet);
-// enable with Logger::SetLevel. Log lines carry the simulated timestamp when
-// a clock has been registered by the event loop.
+// enable with Logger::SetLevel.
 
 #ifndef ROVER_SRC_UTIL_LOGGING_H_
 #define ROVER_SRC_UTIL_LOGGING_H_
 
-#include <functional>
 #include <sstream>
 #include <string>
-
-#include "src/util/time.h"
 
 namespace rover {
 
@@ -25,10 +21,6 @@ class Logger {
  public:
   static void SetLevel(LogLevel level);
   static LogLevel level();
-
-  // The sim event loop registers its clock here so log lines can carry
-  // virtual timestamps. Returns the previous provider.
-  static std::function<TimePoint()> SetTimeProvider(std::function<TimePoint()> provider);
 
   static void Emit(LogLevel level, const char* file, int line, const std::string& message);
 };

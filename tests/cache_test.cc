@@ -798,9 +798,7 @@ class SessionGuaranteeTest : public ::testing::Test {
 };
 
 TEST_F(SessionGuaranteeTest, ImportBelowSessionFloorFailsAfterServerLosesState) {
-  Testbed::Options topts;
-  topts.server.durable = false;  // a crash loses every committed update
-  Testbed bed(topts);
+  Testbed bed;
   SeedCounter(&bed);
   RoverClientNode* client = bed.AddClient("mobile", LinkProfile::WaveLan2());
   Session session(1);
@@ -815,9 +813,10 @@ TEST_F(SessionGuaranteeTest, ImportBelowSessionFloorFailsAfterServerLosesState) 
   session.RecordWrite("counter", exp.value().new_version);
   EXPECT_EQ(session.RequiredVersion("counter"), 2u);
 
-  // The volatile server forgets the export and comes back at version 1.
+  // The server loses the export: the object is removed and recreated, so it
+  // comes back at version 1.
   client->access()->Evict("counter");
-  bed.server()->SimulateCrashAndRestart();
+  ASSERT_TRUE(bed.server()->store()->Remove("counter").ok());
   SeedCounter(&bed);
 
   // Read-your-writes: handing this session the regressed version would

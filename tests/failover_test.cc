@@ -8,24 +8,24 @@
 // configured failover route with no external trigger; a WAL fail-stop
 // hands the service to the backup through the fail-stop failover handler;
 // a silent backup degrades the sender to asynchronous shipping instead of
-// wedging response release; the backup's bootstrap resync is counted on
-// both ends of the channel; and a backup with no durable store (durable =
-// false) can still be promoted.
+// wedging response release; and the backup's bootstrap resync is counted
+// on both ends of the channel.
 // Part 2 is the failover chaos harness: a seeded FaultPlan kills the
 // primary for good at a random point in the run (mid-WAL-flush,
 // mid-coalesce, mid-anything), promotes the backup one detection delay
 // later, and the at-most-once / no-acked-loss / convergence invariants
-// must hold for every seed.
+// must hold for every seed. Seeds 1-24 run by default; ROVER_FAILOVER_SEEDS
+// names others in the shared seed grammar, e.g. "1-48" or "3 7 9-12".
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/check/fuzz.h"
 #include "src/check/simcheck.h"
 #include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
@@ -94,11 +94,26 @@ TEST(FailoverTest, ReplicatedResponseReplaysAtBackupWithoutReexecution) {
   bed.loop()->RunUntil(TimePoint::Epoch() + Duration::Seconds(4));
   ASSERT_GE(bed.server()->replication_sender()->acked_watermark(), 2u);
   EXPECT_FALSE(result.ready());
+  // The sender's stats() snapshot is built from its registry counters.
+  const ReplicationSenderStats shipped = bed.server()->replication_sender()->stats();
+  EXPECT_GE(shipped.transactions_shipped, 2u);
+  EXPECT_GT(shipped.bytes_shipped, 0u);
+  EXPECT_EQ(Count(bed.server()->metrics(), "replication_sender.txns_shipped"),
+            shipped.transactions_shipped);
+  EXPECT_EQ(Count(bed.server()->metrics(), "replication_sender.bytes_shipped"),
+            shipped.bytes_shipped);
 
+  const uint64_t primary_epoch = bed.server()->qrpc()->epoch();
   bed.server()->Kill();
   EXPECT_TRUE(bed.server()->dead());
   bed.loop()->ScheduleAt(TimePoint::Epoch() + Duration::Millis(4200), [&] {
-    EXPECT_GT(backup->Promote(), 1u);
+    // Promotion fences every epoch the primary used, once: a second call
+    // neither bumps the epoch nor counts again.
+    const uint64_t epoch = backup->Promote();
+    EXPECT_GT(epoch, primary_epoch);
+    EXPECT_EQ(backup->qrpc()->epoch(), epoch);
+    EXPECT_EQ(backup->Promote(), epoch);
+    EXPECT_EQ(Count(backup->metrics(), "replication_receiver.promotions"), 1u);
     client->qrpc()->TriggerFailover();
   });
   bed.Run();
@@ -303,72 +318,7 @@ TEST(FailoverTest, BootstrapResyncCountedOnBothEnds) {
   EXPECT_EQ(Count(bed.server()->metrics(), "replication_sender.resyncs_served"), 1u);
 }
 
-// A volatile backup (ServerNodeOptions::durable = false) has no stable
-// store to journal the new epoch into; Promote still fences the primary by
-// moving the backup's QRPC epoch past every epoch the primary used.
-TEST(FailoverTest, VolatileBackupPromotesPastPrimaryEpoch) {
-  Testbed bed;
-  ServerNodeOptions bopts;
-  bopts.durable = false;
-  RoverServerNode* backup = bed.AddBackup("backup", LinkProfile::Ethernet10(), bopts);
-  bed.RunFor(Duration::Seconds(1));
-  ASSERT_EQ(Count(backup->metrics(), "replication_receiver.snapshots_applied"), 1u);
-  const uint64_t primary_epoch = bed.server()->qrpc()->epoch();
-
-  bed.server()->Kill();
-  const uint64_t epoch = backup->Promote();
-  EXPECT_GT(epoch, primary_epoch);
-  EXPECT_EQ(backup->qrpc()->epoch(), epoch);
-  EXPECT_EQ(Count(backup->metrics(), "replication_receiver.promotions"), 1u);
-  // Idempotent: a second call neither bumps the epoch nor counts again.
-  EXPECT_EQ(backup->Promote(), epoch);
-  EXPECT_EQ(Count(backup->metrics(), "replication_receiver.promotions"), 1u);
-}
-
 // --- Part 2: seeded failover chaos -----------------------------------------
-
-// Seeds come from the environment when set (the CI failover-chaos job runs
-// the binary directly with an extended list); default is 1..24. Accepts
-// space/comma-separated values and "a-b" ranges, e.g. "1-48" or "3 7 9-12".
-std::vector<uint64_t> FailoverSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("ROVER_FAILOVER_SEEDS")) {
-    uint64_t v = 0;
-    bool have = false;
-    uint64_t range_start = 0;
-    bool in_range = false;
-    for (const char* p = env;; ++p) {
-      const char c = *p;
-      if (c >= '0' && c <= '9') {
-        v = v * 10 + static_cast<uint64_t>(c - '0');
-        have = true;
-        continue;
-      }
-      if (have && c == '-') {
-        range_start = v;
-        in_range = true;
-        v = 0;
-        have = false;
-        continue;
-      }
-      if (have) {
-        if (in_range) {
-          for (uint64_t s = range_start; s <= v; ++s) seeds.push_back(s);
-        } else {
-          seeds.push_back(v);
-        }
-      }
-      v = 0;
-      have = false;
-      in_range = false;
-      if (c == '\0') break;
-    }
-  }
-  if (seeds.empty()) {
-    for (uint64_t s = 1; s <= 24; ++s) seeds.push_back(s);
-  }
-  return seeds;
-}
 
 // Prints the failing seed in a grep-friendly form even when an ASSERT
 // returns out of the test body early.
@@ -492,7 +442,7 @@ TEST_P(FailoverChaosTest, AckedWorkSurvivesPrimaryDeath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FailoverChaosTest,
-                         ::testing::ValuesIn(FailoverSeeds()));
+                         ::testing::ValuesIn(check::SeedsFromEnv("ROVER_FAILOVER_SEEDS", 24)));
 
 }  // namespace
 }  // namespace rover

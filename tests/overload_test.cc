@@ -15,20 +15,20 @@
 // flapping lossy link against a concurrency-limited server, asserting the
 // client stays within its memory budgets, retries stay within the retry
 // budget, durable ops are never shed, and everything drains to convergence
-// once the pressure lifts. Extra seeds can be supplied via the
-// ROVER_OVERLOAD_SEEDS / ROVER_OVERLOAD_SEED_COUNT environment variables
-// (used by the CI chaos job, which runs the binary directly).
+// once the pressure lifts. Seeds 1-6 run by default; ROVER_OVERLOAD_SEEDS
+// names others in the shared seed grammar, e.g. "1-24" (used by the CI
+// chaos job, which runs the binary directly).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/check/fuzz.h"
 #include "src/check/simcheck.h"
 #include "src/core/fault_plan.h"
 #include "src/core/toolkit.h"
@@ -600,34 +600,6 @@ TEST(CacheOverflowTest, UnevictableOverflowIsCountedAndGaugeClearsOnRelief) {
 
 // --- Part 6: seeded overload chaos -----------------------------------------
 
-// Seeds come from the environment when set (the CI overload job runs the
-// binary directly with an extended list); default is a small fixed set.
-std::vector<uint64_t> OverloadSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("ROVER_OVERLOAD_SEEDS")) {
-    uint64_t v = 0;
-    bool have = false;
-    for (const char* p = env;; ++p) {
-      if (*p >= '0' && *p <= '9') {
-        v = v * 10 + static_cast<uint64_t>(*p - '0');
-        have = true;
-      } else {
-        if (have) seeds.push_back(v);
-        v = 0;
-        have = false;
-        if (*p == '\0') break;
-      }
-    }
-  } else if (const char* env_n = std::getenv("ROVER_OVERLOAD_SEED_COUNT")) {
-    const long n = std::atol(env_n);
-    for (long s = 1; s <= n; ++s) seeds.push_back(static_cast<uint64_t>(s));
-  }
-  if (seeds.empty()) {
-    for (uint64_t s = 1; s <= 6; ++s) seeds.push_back(s);
-  }
-  return seeds;
-}
-
 class OverloadChaosTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Sustained ~2x overload: 2 ops/s of durable foreground work plus periodic
@@ -791,7 +763,7 @@ TEST_P(OverloadChaosTest, SustainedOverloadDegradesGracefullyAndDrains) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OverloadChaosTest,
-                         ::testing::ValuesIn(OverloadSeeds()));
+                         ::testing::ValuesIn(check::SeedsFromEnv("ROVER_OVERLOAD_SEEDS", 6)));
 
 }  // namespace
 }  // namespace rover

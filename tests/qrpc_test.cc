@@ -11,7 +11,6 @@
 #include "src/qrpc/stable_log.h"
 #include "src/sim/network.h"
 #include "src/transport/smtp.h"
-#include "src/util/rng.h"
 #include "tests/test_metrics.h"
 
 namespace rover {
@@ -725,59 +724,6 @@ TEST_F(QrpcTest, CrashBetweenCoalesceAndSuccessorFlushResendsPredecessor) {
   loop_.Run();
   EXPECT_EQ(executions_, 1);  // the acknowledged operation is not lost
   EXPECT_EQ(client_->PendingCount(), 0u);
-}
-
-// --- Stable-log compression ---
-
-TEST(StableLogCompressionTest, CompressedRecordsRoundTripAndRecover) {
-  EventLoop loop;
-  StableLogCostModel model;
-  model.compress_log = true;
-  obs::Registry metrics;
-  StableLog log(&loop, &metrics, model);
-  const Bytes payload(4096, 7);  // highly compressible
-  log.Append(payload);
-  log.Flush(nullptr);
-  loop.Run();
-
-  EXPECT_EQ(Count(&metrics, "stable_log.records_compressed"), 1u);
-  EXPECT_LT(Count(&metrics, "stable_log.stored_bytes_appended"),
-            Count(&metrics, "stable_log.raw_bytes_appended"));
-  std::vector<StableLog::Record> records = log.DurableRecords();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].compressed);
-  EXPECT_LT(records[0].data.size(), payload.size());
-  EXPECT_EQ(*log.RecordPayload(records[0]), payload);
-
-  // Crash + recover: the CRC covers the stored (compressed) form, and the
-  // payload still decompresses to the original.
-  log.SimulateCrash();
-  ASSERT_EQ(log.Recover(), 1u);
-  std::vector<StableLog::Record> recovered = log.DurableRecords();
-  ASSERT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(*log.RecordPayload(recovered[0]), payload);
-}
-
-TEST(StableLogCompressionTest, IncompressibleRecordStoredRaw) {
-  EventLoop loop;
-  StableLogCostModel model;
-  model.compress_log = true;
-  obs::Registry metrics;
-  StableLog log(&loop, &metrics, model);
-  Rng rng(77);
-  Bytes payload(512);
-  for (uint8_t& b : payload) {
-    b = static_cast<uint8_t>(rng.NextU64());
-  }
-  log.Append(payload);
-  log.Flush(nullptr);
-  loop.Run();
-  std::vector<StableLog::Record> records = log.DurableRecords();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_FALSE(records[0].compressed);  // compression would have expanded it
-  EXPECT_EQ(records[0].data, payload);
-  EXPECT_EQ(*log.RecordPayload(records[0]), payload);
-  EXPECT_EQ(Count(&metrics, "stable_log.records_compressed"), 0u);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "src/sim/event_loop.h"
 #include "src/sim/link.h"
 #include "src/sim/network.h"
-#include "src/sim/trace.h"
 
 namespace rover {
 namespace {
@@ -298,22 +297,6 @@ TEST(NetworkTest, AddHostIdempotent) {
   EXPECT_EQ(net.FindHost("missing"), nullptr);
 }
 
-TEST(TraceTest, RecordsAndCounts) {
-  EventLoop loop;
-  Trace trace(&loop);
-  loop.ScheduleAt(TimePoint::FromMicros(10), [&] { trace.Record("rpc", "send"); });
-  loop.ScheduleAt(TimePoint::FromMicros(20), [&] { trace.Record("rpc", "recv"); });
-  loop.Run();
-  trace.Bump("bytes", 100);
-  trace.Bump("bytes", 50);
-  EXPECT_EQ(trace.CountFor("rpc"), 2u);
-  EXPECT_EQ(trace.entries()[0].when.micros(), 10);
-  EXPECT_DOUBLE_EQ(trace.Counter("bytes"), 150.0);
-  EXPECT_DOUBLE_EQ(trace.Counter("missing"), 0.0);
-  trace.Clear();
-  EXPECT_EQ(trace.entries().size(), 0u);
-}
-
 }  // namespace
 }  // namespace rover
 
@@ -498,26 +481,28 @@ TEST(NetworkTest, PeerLookupWorkIsFlatInAttachedLinkCount) {
 }
 
 TEST(NetworkTest, PeerObserverFiresOnAttachAndForceDownForThatPeerOnly) {
+  // The host's peer-change upcall names exactly the peer whose link set
+  // changed, and is silent once its owner clears the registration.
   EventLoop loop;
   Network net(&loop);
   net.Connect("server", "a", LinkProfile::Ethernet10());
   Host* server = net.FindHost("server");
-  int a_fires = 0;
+  std::vector<std::string> changed;
   int owner = 0;
-  server->AddPeerObserver("a", [&] { ++a_fires; }, &owner);
-  server->AddPeerObserver("b", [&] { ADD_FAILURE() << "b observer fired"; }, &owner);
+  server->SetReceiver(nullptr, &owner,
+                      [&](const std::string& peer) { changed.push_back(peer); });
 
   Link* second = net.Connect("server", "a", LinkProfile::WaveLan2());
-  EXPECT_EQ(a_fires, 1);  // attach of a link to "a"
+  EXPECT_EQ(changed, std::vector<std::string>({"a"}));  // attach of a link to "a"
   net.Connect("server", "c", LinkProfile::Ethernet10());
-  EXPECT_EQ(a_fires, 1);  // unrelated peer: no fire
+  EXPECT_EQ(changed, std::vector<std::string>({"a", "c"}));
   second->ForceDown();
-  EXPECT_EQ(a_fires, 2);  // force-down of a link to "a"
+  EXPECT_EQ(changed, std::vector<std::string>({"a", "c", "a"}));  // force-down toward "a"
   EXPECT_TRUE(server->CanReach("a"));  // first link still up
 
-  server->RemovePeerObservers(&owner);
+  server->ClearReceiver(&owner);
   net.Connect("server", "a", LinkProfile::Cslip144());
-  EXPECT_EQ(a_fires, 2);  // removed: no further fires
+  EXPECT_EQ(changed.size(), 3u);  // cleared: no further upcalls
 }
 
 TEST(NetworkTest, ForceDownMakesPeerUnreachable) {

@@ -6,13 +6,16 @@
 // deliberately re-introduced (eager predecessor-record withdrawal), the
 // fuzzer must catch it, the shrinker must reduce the schedule, and the
 // one-line repro must round-trip and still discriminate buggy from fixed.
-// Part 3 covers the repro-line format itself.
+// Part 3 covers the repro-line format itself and the seed grammar shared by
+// the seeded harnesses.
 // Part 4 holds a named deterministic regression test for each latent bug
 // the checker flushed out of the toolkit:
 //   * compaction racing a pending response transaction (double-apply),
 //   * duplicate replay from a not-yet-journaled response (acked loss),
 //   * crash-recovered calls shed under queue pressure (silent durable loss).
 
+#include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -139,6 +142,57 @@ TEST(SimCheckReproTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=burst").ok());
   EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=burst@").ok());
   EXPECT_FALSE(ParseRepro("SIMCHECK_REPRO seed=5 plan=warp@100").ok());
+}
+
+TEST(SimCheckReproTest, EveryTokenRoundTrips) {
+  // Every (kind, target, tear) combination that has a token parses back to
+  // the same fields; the crash, image, burst and disk kinds give 23 tokens.
+  std::set<std::string> lines;
+  for (int kind = 0; kind <= static_cast<int>(FuzzActionKind::kDiskSyncFail); ++kind) {
+    for (int target = 0; target < 3; ++target) {
+      for (bool tear : {false, true}) {
+        FuzzAction action;
+        action.kind = static_cast<FuzzActionKind>(kind);
+        action.target = target;
+        action.tear = tear;
+        action.at_ms = 40;
+        const std::string line = FormatRepro(FuzzPlan{3, {action}});
+        if (line.find("unknown") != std::string::npos) {
+          continue;
+        }
+        auto parsed = ParseRepro(line);
+        ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().message();
+        ASSERT_EQ(parsed->actions.size(), 1u);
+        EXPECT_EQ(parsed->actions[0].kind, action.kind) << line;
+        EXPECT_EQ(parsed->actions[0].target, target) << line;
+        EXPECT_EQ(parsed->actions[0].tear, tear) << line;
+        EXPECT_EQ(parsed->actions[0].at_ms, 40u) << line;
+        EXPECT_EQ(FormatRepro(*parsed), line);
+        lines.insert(line);
+      }
+    }
+  }
+  EXPECT_EQ(lines.size(), 23u);
+}
+
+TEST(SeedSpecTest, ParsesValuesRangesAndMixedSeparators) {
+  EXPECT_EQ(ParseSeedSpec("7"), std::vector<uint64_t>({7}));
+  EXPECT_EQ(ParseSeedSpec("1-4"), std::vector<uint64_t>({1, 2, 3, 4}));
+  EXPECT_EQ(ParseSeedSpec("3, 7 9-11,2"), std::vector<uint64_t>({3, 7, 9, 10, 11, 2}));
+  EXPECT_TRUE(ParseSeedSpec("").empty());
+  EXPECT_TRUE(ParseSeedSpec(" , ").empty());
+}
+
+TEST(SeedSpecTest, UnsetOrEmptyEnvironmentGivesDefaultCorpus) {
+  const char* var = "ROVER_SEED_SPEC_TEST_SEEDS";
+  const std::vector<uint64_t> defaults = {1, 2, 3};
+  unsetenv(var);
+  EXPECT_EQ(SeedsFromEnv(var, 3), defaults);
+  setenv(var, "", 1);
+  EXPECT_EQ(SeedsFromEnv(var, 3), defaults);
+  setenv(var, "5-6 9", 1);
+  EXPECT_EQ(SeedsFromEnv(var, 3), std::vector<uint64_t>({5, 6, 9}));
+  unsetenv(var);
 }
 
 // --- Part 4: regression tests for the latent-bug batch ---------------------

@@ -139,7 +139,7 @@ TEST_F(SchedulerTest, PriorityOrdering) {
                  Duration::Seconds(1e6), Duration::Zero(),
                  TimePoint::Epoch() + Duration::Seconds(10)));
   SchedulerOptions opts;
-  opts.batching = false;  // one frame per message so order is observable
+  opts.max_batch_messages = 1;  // one frame per message so order is observable
   mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
                                                &mobile_metrics_, opts);
 
@@ -180,7 +180,7 @@ TEST_F(SchedulerTest, NoBatchingSendsIndividually) {
                  Duration::Seconds(1e6), Duration::Zero(),
                  TimePoint::Epoch() + Duration::Seconds(10)));
   SchedulerOptions opts;
-  opts.batching = false;
+  opts.max_batch_messages = 1;
   mobile_ = std::make_unique<TransportManager>(&loop_, net_.FindHost("mobile"),
                                                &mobile_metrics_, opts);
   for (int i = 0; i < 8; ++i) {
@@ -363,6 +363,27 @@ TEST_F(SchedulerTest, AttachedLinkReevaluatesStaleUpWakeup) {
   loop_.RunUntil(TimePoint::Epoch() + Duration::Seconds(10));
   ASSERT_EQ(received_.size(), 1u);
   EXPECT_LT(loop_.now().seconds(), 1000.0);
+}
+
+TEST_F(SchedulerTest, PeerChangeDoesNotWakeQueueThatNeverParked) {
+  // The only link loses every frame, so the queue backs off after its first
+  // send without ever parking. A faster link attached during the backoff is
+  // a peer change, but only a queue that has parked re-evaluates on one:
+  // the retry still waits out the loss backoff.
+  LinkProfile lossy = LinkProfile::Ethernet10();
+  lossy.bandwidth_bps = 5e6;
+  lossy.loss_prob = 1.0;
+  SetUpHosts(lossy);
+  TimePoint delivered_at;
+  mobile_->Send(MakeMessage("server", 50),
+                [&](const Status& s) { if (s.ok()) delivered_at = loop_.now(); });
+  loop_.RunUntil(TimePoint::Epoch() + Duration::Millis(1));
+  ASSERT_EQ(Count(&mobile_metrics_, "scheduler.retries"), 1u);  // loss seen, backing off
+
+  net_.Connect("mobile", "server", LinkProfile::Ethernet10());
+  loop_.Run();
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_GE(delivered_at - TimePoint::Epoch(), SchedulerOptions().loss_retry_backoff);
 }
 
 TEST_F(SchedulerTest, CancelRacingInFlightFrameDeliversOnce) {
@@ -862,9 +883,9 @@ TEST(SchedulerScaleTest, LinkLookupWorkPerSendIsFlatInAttachedLinks) {
 }
 
 TEST(SchedulerScaleTest, ParkedQueueWakesViaPeerObserverOnLateAttach) {
-  // No link at all at enqueue time: the queue parks, registers a per-peer
-  // observer, and a link attached later -- with no global link-change
-  // listener in the picture -- triggers delivery.
+  // No link at all at enqueue time: the queue parks, and the host's
+  // peer-change upcall for a link attached later -- with no global
+  // link-change listener in the picture -- triggers delivery.
   EventLoop loop;
   Network net(&loop);
   Host* mobile = net.AddHost("mobile");
