@@ -112,7 +112,6 @@ class ReplicationSender {
   uint64_t last_shipped() const { return last_shipped_; }
   uint64_t acked_watermark() const { return acked_watermark_; }
   bool degraded() const { return degraded_; }
-  // Built from the registry counters.
   ReplicationSenderStats stats() const;
 
  private:

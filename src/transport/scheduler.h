@@ -4,7 +4,7 @@
 // quality". It also implements the two channel optimizations the paper's
 // evaluation studies:
 //
-//   * batches: coalescing queued messages into a single frame so that slow
+//   * batch frames: coalescing queued messages into a single frame so that slow
 //     links pay per-packet header overhead once per batch, and
 //   * compression: LZ-compressing marshalled payloads before transmission.
 //
@@ -45,7 +45,7 @@
 namespace rover {
 
 struct SchedulerOptions {
-  // Batching bounds per frame; max_batch_messages = 1 sends one message per
+  // Per-frame batch bounds; max_batch_messages = 1 sends one message per
   // frame.
   size_t max_batch_messages = 16;
   size_t max_batch_bytes = 32 * 1024;
