@@ -1,10 +1,19 @@
 // E9 -- micro-benchmarks of the toolkit's building blocks (real CPU time,
 // google-benchmark): TcLite dispatch and proc calls, expr evaluation, RDO
-// load/invoke, wire marshalling, frame encode/decode, LZ compression, and
-// stable-log append. These are the analogue of the paper's environment
-// cost table and calibrate the simulated CPU cost models in RdoCostModel.
+// load (with its heap footprint per instance) and invoke, wire
+// marshalling, frame encode/decode, LZ compression, and stable-log append.
+// These are the analogue of the paper's environment cost table and
+// calibrate the simulated CPU cost models in RdoCostModel.
 
 #include <benchmark/benchmark.h>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/qrpc/marshal.h"
 #include "src/qrpc/stable_log.h"
@@ -12,6 +21,7 @@
 #include "src/sim/event_loop.h"
 #include "src/tclite/interp.h"
 #include "src/sim/network.h"
+#include "src/tclite/value.h"
 #include "src/transport/message.h"
 #include "src/transport/scheduler.h"
 #include "src/transport/transport.h"
@@ -72,21 +82,45 @@ void BM_TcliteListOps(benchmark::State& state) {
 }
 BENCHMARK(BM_TcliteListOps);
 
+// Loads a flappy_fanout hot object (eight 63-byte messages under the
+// benchmark harness's list methods) with a client's host bindings. The
+// heap_bytes_per_instance counter is what a batch of live instances holds
+// on the heap, per instance: the per-object cost of a client cache.
 void BM_RdoLoad(benchmark::State& state) {
   RdoDescriptor d;
-  d.name = "bench";
-  d.type = "lww";
-  d.code = R"(
-proc get {} { global state; return $state }
-proc add {n} { global state; set state [expr {$state + $n}]; return $state }
-)";
-  d.data = "0";
+  d.name = "hot0";
+  d.type = "set";
+  d.code =
+      "proc get {} { global state; return [llength $state] }\n"
+      "proc put {m} { global state; lappend state $m; "
+      "set state [lrange $state end-7 end]; return [llength $state] }\n";
+  std::vector<std::string> messages;
+  for (int k = 0; k < 8; ++k) {
+    messages.push_back("h0m" + std::to_string(k));
+    messages.back().resize(63, 'x');
+  }
+  d.data = TclListJoin(messages);
   RdoEnvironment env;
   env.host_name = "bench";
+  env.now = [] { return TimePoint::Epoch(); };
+  env.log = [](const std::string&) {};
   for (auto _ : state) {
     auto instance = RdoInstance::Create(d, env);
     benchmark::DoNotOptimize(instance);
   }
+#ifdef __GLIBC__
+  constexpr size_t kBatch = 256;
+  std::vector<std::unique_ptr<RdoInstance>> batch;
+  batch.reserve(kBatch);
+  const size_t before = mallinfo2().uordblks;
+  for (size_t i = 0; i < kBatch; ++i) {
+    auto instance = RdoInstance::Create(d, env);
+    batch.push_back(std::move(*instance));
+  }
+  const size_t after = mallinfo2().uordblks;
+  state.counters["heap_bytes_per_instance"] =
+      static_cast<double>(after - before) / static_cast<double>(kBatch);
+#endif
 }
 BENCHMARK(BM_RdoLoad);
 

@@ -94,6 +94,7 @@ Result<std::unique_ptr<RdoInstance>> RdoInstance::Create(const RdoDescriptor& de
   // Evaluate the code (method definitions) under the sandbox budget.
   interp->ResetBudget();
   auto code_result = interp->Run(descriptor.code);
+  interp->TakeOutput();
   if (!code_result.ok()) {
     return InvalidArgumentError("RDO " + descriptor.name +
                                 ": code failed to load: " + code_result.status().message());
@@ -107,7 +108,7 @@ Result<std::string> RdoInstance::Invoke(const std::string& method,
   if (!HasMethod(method)) {
     return NotFoundError("RDO " + descriptor_.name + ": no method \"" + method + "\"");
   }
-  const std::string before = ReadState();
+  std::string before = ReadState();
   interp_.ResetBudget();
   const uint64_t commands_before = interp_.stats().commands_executed;
 
@@ -118,7 +119,9 @@ Result<std::string> RdoInstance::Invoke(const std::string& method,
   EvalResult r = interp_.Invoke(call);
 
   last_invoke_commands_ = interp_.stats().commands_executed - commands_before;
+  interp_.TakeOutput();  // nothing reads it; left buffered it would pile up
   if (r.flow == EvalResult::Flow::kError) {
+    interp_.SetGlobal("state", std::move(before));
     return InvalidArgumentError("RDO " + descriptor_.name + "." + method + ": " + r.error);
   }
   if (ReadState() != before) {
@@ -141,6 +144,12 @@ std::string RdoInstance::ReadState() const {
 void RdoInstance::WriteState(const std::string& state) {
   interp_.SetGlobal("state", state);
   descriptor_.data = state;
+  dirty_ = false;
+}
+
+void RdoInstance::Rebase(uint64_t version) {
+  descriptor_.version = version;
+  descriptor_.data = ReadState();
   dirty_ = false;
 }
 

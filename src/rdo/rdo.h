@@ -69,7 +69,10 @@ class RdoInstance {
 
   // Invokes method `method` with `args`. Returns the method's result.
   // The command budget is reset per invocation, so one runaway method
-  // cannot starve later ones.
+  // cannot starve later ones. A failed invocation (method error, command
+  // budget, depth or storage limit) rolls `state` back to its value before
+  // the call. Output from `puts` is discarded; `rover-log` is the RDO's
+  // logging channel.
   Result<std::string> Invoke(const std::string& method,
                              const std::vector<std::string>& args);
 
@@ -77,8 +80,8 @@ class RdoInstance {
   // simulated CPU charge).
   uint64_t last_invoke_commands() const { return last_invoke_commands_; }
 
-  // True if any invocation has (possibly) modified the state since load /
-  // last snapshot.
+  // True if any invocation has (possibly) modified the state since load,
+  // WriteState or Rebase.
   bool dirty() const { return dirty_; }
 
   // Current state serialized back into a descriptor (same code, fresh
@@ -88,6 +91,12 @@ class RdoInstance {
   // Directly reads/replaces the state variable (used by reconciliation).
   std::string ReadState() const;
   void WriteState(const std::string& state);
+
+  // Records that the current state is now committed as `version`: the
+  // descriptor takes the state and version, and dirty() clears. The
+  // interpreter stays loaded, so the server's cached instance survives its
+  // own commits.
+  void Rebase(uint64_t version);
 
   bool HasMethod(const std::string& method) const;
   std::vector<std::string> Methods() const;

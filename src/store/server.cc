@@ -76,6 +76,7 @@ void RoverServer::WireDurability() {
         RecordOp(std::move(op));
       },
       [this](const std::string& name) {
+        DropInstance(name);
         ReplayOp op;
         op.is_remove = true;
         op.name = name;
@@ -284,8 +285,7 @@ void RoverServer::ApplyReplicatedTransaction(const ServerTransaction& txn,
   replaying_ = true;  // journal hooks must not re-log the shipped mutations
   for (const ReplayOp& op : txn.ops) {
     if (op.is_remove) {
-      (void)store_.Remove(op.name);
-      DropInstance(op.name);
+      (void)store_.Remove(op.name);  // the remove hook drops the instance
     } else {
       store_.RestoreCommit(op.committed);
       DropInstance(op.committed.name);
@@ -511,11 +511,12 @@ void RoverServer::HandleExport(const RpcRequestBody& req, const Message& envelop
 }
 
 Result<RdoInstance*> RoverServer::InstanceFor(const std::string& name) {
-  ROVER_ASSIGN_OR_RETURN(RdoDescriptor descriptor, store_.Get(name));
+  ROVER_ASSIGN_OR_RETURN(const uint64_t version, store_.VersionOf(name));
   auto it = instances_.find(name);
-  if (it != instances_.end() && it->second->base_version() == descriptor.version) {
+  if (it != instances_.end() && it->second->base_version() == version) {
     return it->second.get();
   }
+  ROVER_ASSIGN_OR_RETURN(RdoDescriptor descriptor, store_.Get(name));
   RdoEnvironment env;
   env.host_name = transport_->local_host();
   env.now = [loop = loop_] { return loop->now(); };
@@ -563,35 +564,28 @@ void RoverServer::HandleInvoke(const RpcRequestBody& req, const Message& envelop
     return;
   }
 
-  // Read before the commit path below: DropInstance frees the instance.
-  const uint64_t command_count = (*instance)->last_invoke_commands();
-  uint64_t version = (*instance)->base_version();
   if ((*instance)->dirty()) {
     // Commit the mutated state; the server is the authority, so this is an
     // unconditional Put.
-    RdoDescriptor snapshot = (*instance)->Snapshot();
-    auto new_version = store_.Put(snapshot);
+    auto new_version = store_.Put((*instance)->Snapshot());
     if (!new_version.ok()) {
       respond(ErrorResponse(new_version.status()));
       return;
     }
-    version = *new_version;
-    // Refresh the cached instance's notion of its base version.
-    DropInstance(*name);
-    NotifySubscribers(*name, version, envelope.header.src);
+    // The instance holds exactly what just committed: keep it warm.
+    (*instance)->Rebase(*new_version);
+    NotifySubscribers(*name, *new_version, envelope.header.src);
   }
 
-  // Charge simulated CPU for the interpreted execution, then respond.
+  // Charge simulated CPU for the interpreted execution, then respond. The
+  // fixed load cost is charged even when the cached instance is reused:
+  // simulated time models the paper's environment, not this host's cache.
   const Duration cost =
       options_.rdo_costs.load_fixed +
-      options_.rdo_costs.per_command * static_cast<double>(command_count);
-  const std::string value = *result;
-  loop_->ScheduleAfter(cost, [respond = std::move(respond), value, version] {
+      options_.rdo_costs.per_command * static_cast<double>((*instance)->last_invoke_commands());
+  loop_->ScheduleAfter(cost, [respond = std::move(respond), value = std::move(*result)] {
     RpcResponseBody body;
     body.result = value;
-    // Version rides in the error_message-free response via a second arg?
-    // Keep it simple: result is the method result; clients needing the
-    // version use rover.version or the next import.
     respond(body);
   });
 }

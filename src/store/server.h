@@ -180,7 +180,9 @@ class RoverServer {
   void HandlePoll(const RpcRequestBody& req, const Message& envelope,
                   QrpcServer::Responder respond);
 
-  // Cached live instance for server-side execution; invalidated on commit.
+  // Cached live instance for server-side execution, reused while its base
+  // version matches the store. Its own commits rebase it (HandleInvoke);
+  // every other commit path drops it.
   Result<RdoInstance*> InstanceFor(const std::string& name);
   void DropInstance(const std::string& name);
   void NotifySubscribers(const std::string& name, uint64_t version,

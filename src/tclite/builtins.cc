@@ -1,11 +1,13 @@
 // Standard TcLite command set. Each builtin receives fully substituted
 // arguments (args[0] is the command name); control structures receive
 // their bodies as unsubstituted braced strings and evaluate them, exactly
-// as in Tcl.
+// as in Tcl. The set is one immutable table (kBuiltins, at the end) that
+// every interpreter shares.
 
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -1009,15 +1011,18 @@ EvalResult CmdFormat(Interp* interp, const Args& args) {
 
 EvalResult CmdPuts(Interp* interp, const Args& args) {
   // puts ?-nonewline? string
+  std::string text;
   if (args.size() == 2) {
-    interp->AppendOutput(args[1] + "\n");
-    return EvalResult::Ok();
+    text = args[1] + "\n";
+  } else if (args.size() == 3 && args[1] == "-nonewline") {
+    text = args[2];
+  } else {
+    return ArityError("puts ?-nonewline? string");
   }
-  if (args.size() == 3 && args[1] == "-nonewline") {
-    interp->AppendOutput(args[2]);
-    return EvalResult::Ok();
+  if (!interp->AppendOutput(text)) {
+    return EvalResult::MakeError("output storage limit exceeded");
   }
-  return ArityError("puts ?-nonewline? string");
+  return EvalResult::Ok();
 }
 
 EvalResult CmdInfo(Interp* interp, const Args& args) {
@@ -1044,47 +1049,52 @@ EvalResult CmdInfo(Interp* interp, const Args& args) {
   return EvalResult::MakeError("info: unknown subcommand \"" + sub + "\"");
 }
 
+constexpr Builtin kBuiltins[] = {
+    {"append", CmdAppend},
+    {"break", CmdBreak},
+    {"catch", CmdCatch},
+    {"concat", CmdConcat},
+    {"continue", CmdContinue},
+    {"dict", CmdDict},
+    {"error", CmdError},
+    {"eval", CmdEval},
+    {"expr", CmdExpr},
+    {"for", CmdFor},
+    {"foreach", CmdForeach},
+    {"format", CmdFormat},
+    {"global", CmdGlobal},
+    {"if", CmdIf},
+    {"incr", CmdIncr},
+    {"info", CmdInfo},
+    {"join", CmdJoin},
+    {"lappend", CmdLappend},
+    {"lindex", CmdLindex},
+    {"linsert", CmdLinsert},
+    {"list", CmdList},
+    {"llength", CmdLlength},
+    {"lrange", CmdLrange},
+    {"lreplace", CmdLreplace},
+    {"lreverse", CmdLreverse},
+    {"lsearch", CmdLsearch},
+    {"lsort", CmdLsort},
+    {"proc", CmdProc},
+    {"puts", CmdPuts},
+    {"return", CmdReturn},
+    {"set", CmdSet},
+    {"split", CmdSplit},
+    {"string", CmdString},
+    {"switch", CmdSwitch},
+    {"unset", CmdUnset},
+    {"uplevel", CmdUplevel},
+    {"upvar", CmdUpvar},
+    {"while", CmdWhile},
+};
+static_assert(std::is_sorted(std::begin(kBuiltins), std::end(kBuiltins),
+                             [](const Builtin& a, const Builtin& b) { return a.name < b.name; }),
+              "lookup binary-searches kBuiltins by name");
+
 }  // namespace
 
-void RegisterBuiltins(Interp* interp) {
-  interp->RegisterCommand("set", CmdSet);
-  interp->RegisterCommand("unset", CmdUnset);
-  interp->RegisterCommand("incr", CmdIncr);
-  interp->RegisterCommand("append", CmdAppend);
-  interp->RegisterCommand("global", CmdGlobal);
-  interp->RegisterCommand("upvar", CmdUpvar);
-  interp->RegisterCommand("uplevel", CmdUplevel);
-  interp->RegisterCommand("if", CmdIf);
-  interp->RegisterCommand("while", CmdWhile);
-  interp->RegisterCommand("for", CmdFor);
-  interp->RegisterCommand("foreach", CmdForeach);
-  interp->RegisterCommand("break", CmdBreak);
-  interp->RegisterCommand("continue", CmdContinue);
-  interp->RegisterCommand("return", CmdReturn);
-  interp->RegisterCommand("error", CmdError);
-  interp->RegisterCommand("catch", CmdCatch);
-  interp->RegisterCommand("eval", CmdEval);
-  interp->RegisterCommand("proc", CmdProc);
-  interp->RegisterCommand("expr", CmdExpr);
-  interp->RegisterCommand("list", CmdList);
-  interp->RegisterCommand("lindex", CmdLindex);
-  interp->RegisterCommand("llength", CmdLlength);
-  interp->RegisterCommand("lappend", CmdLappend);
-  interp->RegisterCommand("lrange", CmdLrange);
-  interp->RegisterCommand("lsearch", CmdLsearch);
-  interp->RegisterCommand("lsort", CmdLsort);
-  interp->RegisterCommand("lreverse", CmdLreverse);
-  interp->RegisterCommand("linsert", CmdLinsert);
-  interp->RegisterCommand("lreplace", CmdLreplace);
-  interp->RegisterCommand("switch", CmdSwitch);
-  interp->RegisterCommand("concat", CmdConcat);
-  interp->RegisterCommand("join", CmdJoin);
-  interp->RegisterCommand("split", CmdSplit);
-  interp->RegisterCommand("dict", CmdDict);
-  interp->RegisterCommand("string", CmdString);
-  interp->RegisterCommand("format", CmdFormat);
-  interp->RegisterCommand("puts", CmdPuts);
-  interp->RegisterCommand("info", CmdInfo);
-}
+std::span<const Builtin> Builtins() { return kBuiltins; }
 
 }  // namespace rover

@@ -1,15 +1,23 @@
 #include "src/tclite/interp.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace rover {
+namespace {
 
-// Defined in builtins.cc; installs the standard command set.
-void RegisterBuiltins(Interp* interp);
+const Builtin* FindBuiltin(std::string_view name) {
+  const std::span<const Builtin> table = Builtins();
+  auto it = std::lower_bound(
+      table.begin(), table.end(), name,
+      [](const Builtin& builtin, std::string_view key) { return builtin.name < key; });
+  return it != table.end() && it->name == name ? &*it : nullptr;
+}
+
+}  // namespace
 
 Interp::Interp(ExecLimits limits) : limits_(limits), rng_(0x524f564552ULL) {  // "ROVER"
   frames_.emplace_back();
-  RegisterBuiltins(this);
 }
 
 Result<std::string> Interp::Run(const std::string& script) {
@@ -149,6 +157,9 @@ EvalResult Interp::Invoke(const std::vector<std::string>& args) {
   if (cmd_it != commands_.end()) {
     return cmd_it->second(this, args);
   }
+  if (const Builtin* builtin = FindBuiltin(name)) {
+    return builtin->run(this, args);
+  }
   return EvalResult::MakeError("invalid command name \"" + name + "\"");
 }
 
@@ -196,7 +207,7 @@ EvalResult Interp::CallProc(const std::string& name, const ProcDef& proc,
 }
 
 size_t Interp::StorageBytes() const {
-  size_t total = 0;
+  size_t total = output_.size();
   for (const Frame& f : frames_) {
     for (const auto& [k, v] : f.vars) {
       total += k.size() + v.size() + 32;
@@ -313,15 +324,26 @@ void Interp::RegisterCommand(const std::string& name, HostCommand command) {
 }
 
 std::vector<std::string> Interp::CommandNames() const {
-  std::vector<std::string> names;
-  names.reserve(commands_.size() + procs_.size());
-  for (const auto& [name, cmd] : commands_) {
-    names.push_back(name);
+  std::set<std::string> commands;
+  for (const Builtin& builtin : Builtins()) {
+    commands.emplace(builtin.name);
   }
+  for (const auto& [name, cmd] : commands_) {
+    commands.insert(name);
+  }
+  std::vector<std::string> names(commands.begin(), commands.end());
   for (const auto& [name, proc] : procs_) {
     names.push_back(name);
   }
   return names;
+}
+
+bool Interp::AppendOutput(const std::string& text) {
+  if (StorageBytes() + text.size() > limits_.max_storage_bytes) {
+    return false;
+  }
+  output_ += text;
+  return true;
 }
 
 void Interp::DefineProc(const std::string& name, ProcDef def) {

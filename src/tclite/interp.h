@@ -14,7 +14,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/tclite/parser.h"
@@ -56,7 +58,7 @@ struct EvalResult {
 struct ExecLimits {
   uint64_t max_commands = 1'000'000;  // commands per budget window
   int max_depth = 128;                // proc/eval nesting
-  size_t max_storage_bytes = 8 << 20; // total variable bytes per frame set
+  size_t max_storage_bytes = 8 << 20; // variable bytes plus buffered output
 };
 
 struct InterpStats {
@@ -84,8 +86,8 @@ class Interp {
   // error status.
   Result<std::string> Run(const std::string& script);
 
-  // Invokes a command (proc, builtin, or host command) with pre-evaluated
-  // arguments. args[0] is the command name.
+  // Invokes a command with pre-evaluated arguments. args[0] is the command
+  // name, looked up among procs, then host commands, then builtins.
   EvalResult Invoke(const std::vector<std::string>& args);
 
   // --- Variables (current frame) ---
@@ -115,7 +117,10 @@ class Interp {
 
   // --- Commands ---
 
+  // A host command shadows the builtin of the same name.
   void RegisterCommand(const std::string& name, HostCommand command);
+  // What `info commands` lists: builtins and host commands in name order,
+  // then procs.
   std::vector<std::string> CommandNames() const;
 
   // Procs defined by `proc`; exposed so RDOs can serialize their methods.
@@ -143,18 +148,19 @@ class Interp {
 
   // --- Output ---
 
-  // `puts` appends here; the embedding drains it (e.g. to a UI).
+  // `puts` appends here; the embedding drains it (e.g. to a UI). Buffered
+  // output counts against max_storage_bytes.
   std::string TakeOutput() { return std::move(output_); }
   const std::string& output() const { return output_; }
-  void AppendOutput(const std::string& text) { output_ += text; }
+  // Appends `text`, or returns false if it would take storage past
+  // max_storage_bytes.
+  bool AppendOutput(const std::string& text);
 
   // Deterministic RNG backing expr's rand()/srand().
   Rng* rng() { return &rng_; }
   void ReseedRng(uint64_t seed) { rng_ = Rng(seed); }
 
  private:
-  friend struct BuiltinRegistrar;
-
   struct Frame {
     std::map<std::string, std::string> vars;
     // Aliases installed by `global` and `upvar`: local name ->
@@ -171,7 +177,7 @@ class Interp {
   EvalResult CallProc(const std::string& name, const ProcDef& proc,
                       const std::vector<std::string>& args);
   const ParsedScript* GetParsed(const std::string& script, Status* error);
-  size_t StorageBytes() const;
+  size_t StorageBytes() const;  // variable bytes plus buffered output
 
   Frame& CurrentFrame() { return frames_.back(); }
   const Frame& CurrentFrame() const { return frames_.back(); }
@@ -181,7 +187,7 @@ class Interp {
   uint64_t budget_used_ = 0;
   int depth_ = 0;
   std::vector<Frame> frames_;
-  std::map<std::string, HostCommand> commands_;
+  std::map<std::string, HostCommand> commands_;  // host commands only
   std::map<std::string, ProcDef> procs_;
   std::map<std::string, std::unique_ptr<ParsedScript>> parse_cache_;
   std::string output_;
@@ -191,6 +197,14 @@ class Interp {
 // Evaluates an expr expression string in `interp` (used by the `expr`,
 // `if`, `while`, and `for` builtins). Defined in expr.cc.
 EvalResult EvalExpr(Interp* interp, const std::string& expression);
+
+// The standard command set: one immutable table, sorted by name, that every
+// interpreter shares. Defined in builtins.cc.
+struct Builtin {
+  std::string_view name;
+  EvalResult (*run)(Interp* interp, const std::vector<std::string>& args);
+};
+std::span<const Builtin> Builtins();
 
 }  // namespace rover
 

@@ -1,6 +1,7 @@
 // Tests for the toolkit features beyond the core loop: URN naming with
 // multiple home servers, request authentication, poll-based consistency,
-// client cache persistence across restart, and QRPC cancellation.
+// client cache persistence across restart, QRPC cancellation, and the
+// lifecycle of the server's cached RDO instances.
 
 #include <gtest/gtest.h>
 
@@ -404,6 +405,116 @@ TEST(StalenessTest, StaleEntryRefetchedWhileConnected) {
   ASSERT_TRUE(import.Wait(bed.loop()));
   EXPECT_FALSE(import.value().from_cache);  // connected: fetch fresh
   EXPECT_EQ(import.value().version, 2u);
+}
+
+}  // namespace
+}  // namespace rover
+
+namespace rover {
+namespace {
+
+// --- server-side RDO instances ---
+
+// `loads` is a scratch global zeroed when the code loads, so `bump` reports
+// how many calls the current load of the object has served.
+constexpr char kBumpCode[] = R"(
+set loads 0
+proc bump {} { global loads state; incr loads; incr state; return $loads }
+proc get {} { global state; return $state }
+proc bad {} { global state; set state 99; error oops }
+)";
+
+Promise<InvokeResult> AtServer(RoverClientNode* client, const std::string& method) {
+  InvokeOptions io;
+  io.force_site = ExecutionSite::kServer;
+  return client->access()->Invoke("bump", method, {}, io);
+}
+
+// Runs `method` at the home server and returns its result.
+std::string ServerCall(Testbed* bed, RoverClientNode* client, const std::string& method) {
+  auto call = AtServer(client, method);
+  EXPECT_TRUE(call.Wait(bed->loop()));
+  EXPECT_TRUE(call.value().status.ok()) << method << ": " << call.value().status;
+  EXPECT_EQ(call.value().site, ExecutionSite::kServer);
+  return call.value().value;
+}
+
+// The instance survives the commits its own invokes make and reloads after
+// any other: here a client's export and a server restart.
+TEST(ServerInstanceTest, KeptAcrossOnlyItsOwnCommits) {
+  Testbed bed;
+  ASSERT_TRUE(bed.server()->rover()->CreateObject(MakeRdo("bump", "lww", kBumpCode, "0")).ok());
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::WaveLan2());
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "1");
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "2");
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "3");
+  EXPECT_EQ(*bed.server()->store()->VersionOf("bump"), 4u);
+
+  // The client commits state 4 as version 5 from its own copy.
+  ASSERT_TRUE(client->access()->Import("bump").Wait(bed.loop()));
+  auto local = client->access()->Invoke("bump", "bump", {});
+  ASSERT_TRUE(local.Wait(bed.loop()));
+  ASSERT_EQ(local.value().site, ExecutionSite::kClient);
+  auto exported = client->access()->Export("bump");
+  ASSERT_TRUE(exported.Wait(bed.loop()));
+  ASSERT_TRUE(exported.value().status.ok()) << exported.value().status;
+  ASSERT_EQ(exported.value().new_version, 5u);
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "1");
+  EXPECT_EQ(ServerCall(&bed, client, "get"), "5");
+
+  bed.server()->SimulateCrashAndRestart();
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "1");
+  EXPECT_EQ(ServerCall(&bed, client, "get"), "6");
+}
+
+// A removed and re-created object starts again at version 1, so only the
+// remove itself can retire the old instance.
+TEST(ServerInstanceTest, DroppedWhenObjectRemoved) {
+  Testbed bed;
+  ASSERT_TRUE(bed.server()->rover()->CreateObject(MakeRdo("bump", "lww", kBumpCode, "0")).ok());
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::WaveLan2());
+  EXPECT_EQ(ServerCall(&bed, client, "get"), "0");
+
+  ASSERT_TRUE(bed.server()->store()->Remove("bump").ok());
+  ASSERT_TRUE(bed.server()->rover()->CreateObject(MakeRdo("bump", "lww", kBumpCode, "7")).ok());
+  EXPECT_EQ(ServerCall(&bed, client, "get"), "7");
+}
+
+TEST(ServerInstanceTest, ReloadedOnPromotedBackup) {
+  Testbed bed;
+  RoverServerNode* backup = bed.AddBackup("backup", LinkProfile::Ethernet10());
+  ASSERT_TRUE(bed.server()->rover()->CreateObject(MakeRdo("bump", "lww", kBumpCode, "0")).ok());
+  ClientNodeOptions copts;
+  copts.qrpc.failover_primary = "server";
+  copts.qrpc.failover_backup = "backup";
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::WaveLan2(), nullptr, copts);
+  bed.AddLink("mobile", "backup", LinkProfile::WaveLan2());
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "1");
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "2");
+
+  bed.server()->Kill();
+  ASSERT_GT(backup->Promote(), 0u);
+  client->qrpc()->TriggerFailover();
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "1");
+  EXPECT_EQ(ServerCall(&bed, client, "get"), "3");
+  EXPECT_EQ(backup->rover()->stats().invokes, 2u);
+}
+
+// A failed method's partial writes never reach the next call, and the
+// instance it failed on stays loaded.
+TEST(ServerInstanceTest, FailedInvokeLeavesCommittedState) {
+  Testbed bed;
+  ASSERT_TRUE(bed.server()->rover()->CreateObject(MakeRdo("bump", "lww", kBumpCode, "0")).ok());
+  RoverClientNode* client = bed.AddClient("mobile", LinkProfile::WaveLan2());
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "1");
+
+  auto bad = AtServer(client, "bad");
+  ASSERT_TRUE(bad.Wait(bed.loop()));
+  EXPECT_FALSE(bad.value().status.ok());
+  EXPECT_EQ(ServerCall(&bed, client, "get"), "1");
+  EXPECT_EQ(ServerCall(&bed, client, "bump"), "2");
+  EXPECT_EQ(bed.server()->store()->Get("bump")->data, "2");
+  EXPECT_EQ(*bed.server()->store()->VersionOf("bump"), 3u);
 }
 
 }  // namespace

@@ -117,6 +117,87 @@ TEST_F(RdoInstanceTest, MethodErrorSurfaces) {
   EXPECT_NE(r.status().message().find("kapow"), std::string::npos);
 }
 
+// A failed invocation leaves no trace in `state`, whatever stopped it, and
+// touches neither dirty() nor the descriptor.
+TEST_F(RdoInstanceTest, FailedInvokeRollsBackState) {
+  ExecLimits limits;
+  limits.max_commands = 2000;
+  limits.max_storage_bytes = 4096;
+  RdoDescriptor d = CounterDescriptor();
+  d.code = R"(
+proc get {} { global state; return $state }
+proc add {n} { global state; set state [expr {$state + $n}]; return $state }
+proc bad {} { global state; set state 99; error oops }
+proc spin {} { global state; set state 98; while {1} {} }
+proc deep {{n 0}} { global state; set state $n; deep [expr {$n + 1}] }
+proc hog {} { global state; set state [string repeat x 8192]; get }
+)";
+  auto instance = RdoInstance::Create(d, Env(), limits);
+  ASSERT_TRUE(instance.ok());
+  for (const char* method : {"bad", "spin", "deep", "hog"}) {
+    EXPECT_FALSE((*instance)->Invoke(method, {}).ok()) << method;
+    EXPECT_EQ((*instance)->ReadState(), "10") << method;
+    EXPECT_FALSE((*instance)->dirty()) << method;
+  }
+  EXPECT_EQ((*instance)->descriptor().data, "10");
+
+  // After a successful mutation, a failure rolls back to that mutation.
+  ASSERT_TRUE((*instance)->Invoke("add", {"5"}).ok());
+  EXPECT_FALSE((*instance)->Invoke("bad", {}).ok());
+  EXPECT_EQ(*(*instance)->Invoke("get", {}), "15");
+  EXPECT_TRUE((*instance)->dirty());
+  EXPECT_EQ((*instance)->descriptor().data, "10");
+}
+
+// `puts` output is dropped after every call and may not grow past the
+// storage cap within one call.
+TEST_F(RdoInstanceTest, PutsOutputIsDiscardedAndCapped) {
+  ExecLimits limits;
+  limits.max_storage_bytes = 1 << 20;
+  RdoDescriptor d = CounterDescriptor();
+  d.code = R"(
+proc spam {} { puts [string repeat x 1000]; return 1 }
+proc flood {} { for {set i 0} {$i < 20000} {incr i} { puts [string repeat x 1000] }; return 1 }
+)";
+  auto instance = RdoInstance::Create(d, Env(), limits);
+  ASSERT_TRUE(instance.ok());
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE((*instance)->Invoke("spam", {}).ok());
+  }
+  EXPECT_EQ((*instance)->interp()->output().size(), 0u);
+  auto flood = (*instance)->Invoke("flood", {});
+  ASSERT_FALSE(flood.ok());
+  EXPECT_NE(flood.status().message().find("output storage limit exceeded"), std::string::npos);
+  EXPECT_EQ((*instance)->interp()->output().size(), 0u);
+}
+
+// Rebase records the current state as committed without reloading: the
+// interpreter's other globals survive.
+TEST_F(RdoInstanceTest, RebaseCommitsStateInPlace) {
+  auto instance = RdoInstance::Create(CounterDescriptor(), Env());
+  ASSERT_TRUE(instance.ok());
+  (*instance)->interp()->SetGlobal("scratch", "kept");
+  ASSERT_TRUE((*instance)->Invoke("add", {"5"}).ok());
+  ASSERT_TRUE((*instance)->dirty());
+  (*instance)->Rebase(4);
+  EXPECT_FALSE((*instance)->dirty());
+  EXPECT_EQ((*instance)->base_version(), 4u);
+  EXPECT_EQ((*instance)->descriptor().data, "15");
+  EXPECT_EQ(*(*instance)->interp()->GetGlobal("scratch"), "kept");
+}
+
+// `info commands` on an RDO interpreter: builtins and the host commands in
+// name order, each once, then the object's methods.
+TEST_F(RdoInstanceTest, InfoCommandsListing) {
+  auto instance = RdoInstance::Create(CounterDescriptor(), Env());
+  ASSERT_TRUE(instance.ok());
+  EXPECT_EQ(*(*instance)->interp()->Run("info commands"),
+            "append break catch concat continue dict error eval expr for foreach format "
+            "global if incr info join lappend lindex linsert list llength lrange lreplace "
+            "lreverse lsearch lsort proc puts return rover-host rover-log rover-now set "
+            "split string switch unset uplevel upvar while add get reset");
+}
+
 TEST_F(RdoInstanceTest, BadCodeFailsToLoad) {
   RdoDescriptor d = CounterDescriptor();
   d.code = "proc broken {";

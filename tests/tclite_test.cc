@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/tclite/interp.h"
 #include "src/tclite/parser.h"
@@ -444,6 +446,44 @@ TEST(SandboxTest, InfiniteRecursionInExprCaught) {
   Interp interp(limits);
   Eval(&interp, "proc f {} { expr {[f] + 1} }");
   EXPECT_FALSE(interp.Run("f").ok());
+}
+
+TEST(SandboxTest, BufferedOutputCountsAgainstStorageCap) {
+  ExecLimits limits;
+  limits.max_storage_bytes = 1024;
+  Interp interp(limits);
+  Eval(&interp, "puts [string repeat x 600]");
+  EXPECT_NE(EvalError(&interp, "puts [string repeat x 600]").find("output storage limit"),
+            std::string::npos);
+  EXPECT_EQ(interp.output().size(), 601u);
+  // Proc entry checks variables plus output: 601 + 435 bytes is over.
+  Eval(&interp, "proc f {} { return ok }; set pad [string repeat y 400]");
+  EXPECT_NE(EvalError(&interp, "f").find("storage limit"), std::string::npos);
+  interp.TakeOutput();
+  EXPECT_EQ(Eval(&interp, "f"), "ok");
+}
+
+// --- command lookup: procs, then host commands, then builtins ---
+
+TEST(InterpTest, ProcShadowsBuiltin) {
+  Interp interp;
+  Eval(&interp, "proc incr {} { return mine }");
+  EXPECT_EQ(Eval(&interp, "incr"), "mine");
+  EXPECT_EQ(Eval(&interp, "set x 1"), "1");  // other builtins unaffected
+}
+
+TEST(InterpTest, HostCommandShadowsBuiltinButNotProc) {
+  Interp interp;
+  interp.RegisterCommand("string", [](Interp*, const std::vector<std::string>&) {
+    return EvalResult::Ok("host");
+  });
+  EXPECT_EQ(Eval(&interp, "string length abc"), "host");
+  // Listed once, in name order among the builtins.
+  const std::vector<std::string> names = interp.CommandNames();
+  EXPECT_EQ(std::count(names.begin(), names.end(), "string"), 1);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  Eval(&interp, "proc string {args} { return proc }");
+  EXPECT_EQ(Eval(&interp, "string length abc"), "proc");
 }
 
 // --- parse cache ---
