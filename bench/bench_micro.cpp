@@ -82,6 +82,24 @@ void BM_TcliteListOps(benchmark::State& state) {
 }
 BENCHMARK(BM_TcliteListOps);
 
+// Splits a mail folder as the benchmark's mobile_sync workload holds one:
+// 32 messages of 255 bytes, each its id padded with 'x'.
+void BM_TclListSplit(benchmark::State& state) {
+  std::vector<std::string> messages;
+  for (int k = 0; k < 32; ++k) {
+    std::string m = "f7m" + std::to_string(k);
+    m.resize(255, 'x');
+    messages.push_back(std::move(m));
+  }
+  const std::string folder = TclListJoin(messages);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TclListSplit(folder));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(folder.size()));
+}
+BENCHMARK(BM_TclListSplit);
+
 // Loads a flappy_fanout hot object (eight 63-byte messages under the
 // benchmark harness's list methods) with a client's host bindings. The
 // heap_bytes_per_instance counter is what a batch of live instances holds

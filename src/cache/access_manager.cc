@@ -1040,15 +1040,22 @@ void AccessManager::HandleControl(const Message& msg) {
     return;  // not for us
   }
   c_invalidations_received_->Increment();
-  // The server names objects by path; cache keys may be URNs, so match on
-  // (home server, path).
-  for (auto& [key, entry] : cache_) {
+  // The server names objects by path. Only two cache keys can resolve to
+  // (home server, path): its URN, and -- on the default server -- the bare
+  // path. Look up both and confirm each with Resolve.
+  auto mark_stale = [&](const std::string& key) {
+    Entry* entry = FindEntry(key);
+    if (entry == nullptr) {
+      return;
+    }
     const RoverUrn urn = Resolve(key);
     if (urn.server == msg.header.src && urn.path == inval->name &&
-        entry.committed.version < inval->version) {
-      entry.stale = true;
+        entry->committed.version < inval->version) {
+      entry->stale = true;
     }
-  }
+  };
+  mark_stale(MakeRoverUrn(msg.header.src, inval->name));
+  mark_stale(inval->name);
 }
 
 void AccessManager::OnServerRestart(const std::string& server, uint64_t /*epoch*/) {

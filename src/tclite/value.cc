@@ -1,5 +1,6 @@
 #include "src/tclite/value.h"
 
+#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -82,12 +83,32 @@ std::string TclFromDouble(double v) {
 
 std::string TclFromBool(bool v) { return v ? "1" : "0"; }
 
+namespace {
+
+// Byte classes for the list scanner. List whitespace is the six bytes
+// std::isspace accepts in the C locale, the only locale the toolkit runs
+// in; a table lookup is cheaper than the call, or than six compares.
+enum : uint8_t { kWordByte = 0, kSpaceByte = 1, kEscapeByte = 2 };
+constexpr std::array<uint8_t, 256> kListBytes = [] {
+  std::array<uint8_t, 256> classes{};
+  for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    classes[c] = kSpaceByte;
+  }
+  classes['\\'] = kEscapeByte;
+  return classes;
+}();
+
+uint8_t ListByteClass(char c) { return kListBytes[static_cast<unsigned char>(c)]; }
+bool IsListSpace(char c) { return ListByteClass(c) == kSpaceByte; }
+
+}  // namespace
+
 Result<std::vector<std::string>> TclListSplit(std::string_view list) {
   std::vector<std::string> out;
   size_t i = 0;
   const size_t n = list.size();
   while (i < n) {
-    while (i < n && std::isspace(static_cast<unsigned char>(list[i]))) {
+    while (i < n && IsListSpace(list[i])) {
       ++i;
     }
     if (i >= n) {
@@ -114,7 +135,7 @@ Result<std::vector<std::string>> TclListSplit(std::string_view list) {
         return InvalidArgumentError("unbalanced braces in list");
       }
       elem.assign(list.substr(start, i - start - 1));
-      if (i < n && !std::isspace(static_cast<unsigned char>(list[i]))) {
+      if (i < n && !IsListSpace(list[i])) {
         return InvalidArgumentError("junk after closing brace in list");
       }
     } else if (list[i] == '"') {
@@ -132,8 +153,18 @@ Result<std::vector<std::string>> TclListSplit(std::string_view list) {
         return InvalidArgumentError("unbalanced quote in list");
       }
       ++i;  // closing quote
+      if (i < n && !IsListSpace(list[i])) {
+        return InvalidArgumentError("junk after closing quote in list");
+      }
     } else {
-      while (i < n && !std::isspace(static_cast<unsigned char>(list[i]))) {
+      // A bare word is taken in one piece up to its end or its first
+      // backslash; escapes from there on are decoded a byte at a time.
+      const size_t start = i;
+      while (i < n && ListByteClass(list[i]) == kWordByte) {
+        ++i;
+      }
+      elem.assign(list.substr(start, i - start));
+      while (i < n && !IsListSpace(list[i])) {
         if (list[i] == '\\' && i + 1 < n) {
           elem.push_back(list[i + 1]);
           i += 2;

@@ -1,8 +1,9 @@
 #include "src/util/delta.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "src/util/crc32.h"
@@ -13,13 +14,88 @@ namespace {
 constexpr uint32_t kMagic = 0x314c4452u;  // "RDL1", little-endian
 constexpr size_t kMinMatch = 8;           // shorter copies cost more than literals
 constexpr size_t kMaxChainDepth = 16;     // candidate positions probed per hash
+constexpr uint32_t kNoPos = UINT32_MAX;   // end of a chain / an empty slot
 
-uint64_t HashAt(const uint8_t* p) {
+uint32_t HashAt(const uint8_t* p) {
   // 8-byte rolling key; multiplicative hash keeps the table well spread for
   // the repetitive text bodies (mail folders, calendars) deltas target.
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
-  return (v * 0x9e3779b97f4a7c15ull) >> 32;
+  return static_cast<uint32_t>((v * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+// Every position of a base, chained by HashAt. An open-addressed table maps
+// each distinct hash to the first position of its chain, and next_[i] links
+// position i to the following position with the same hash. The index is
+// filled from the end of the base, so every chain runs in base order.
+class BaseIndex {
+ public:
+  explicit BaseIndex(const Bytes& base) {
+    const size_t positions = base.size() < kMinMatch ? 0 : base.size() - kMinMatch + 1;
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * positions) {
+      ++bits;
+    }
+    shift_ = 32 - bits;  // the hash's top bits pick the slot
+    slots_.assign(size_t{1} << bits, Slot{0, kNoPos});
+    next_ = std::make_unique_for_overwrite<uint32_t[]>(positions);
+    for (size_t i = positions; i-- > 0;) {
+      const uint32_t hash = HashAt(base.data() + i);
+      Slot& slot = slots_[SlotFor(hash)];
+      slot.hash = hash;
+      next_[i] = slot.head;
+      slot.head = static_cast<uint32_t>(i);
+    }
+  }
+
+  // The first position whose 8 bytes hash to `hash`, or kNoPos.
+  uint32_t First(uint32_t hash) const { return slots_[SlotFor(hash)].head; }
+  uint32_t Next(uint32_t pos) const { return next_[pos]; }
+
+ private:
+  struct Slot {
+    uint32_t hash;
+    uint32_t head;  // kNoPos: the slot is empty
+  };
+
+  // The slot holding `hash`, or the empty slot where it belongs.
+  size_t SlotFor(uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t s = hash >> shift_;
+    while (slots_[s].head != kNoPos && slots_[s].hash != hash) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  }
+
+  int shift_ = 0;
+  std::vector<Slot> slots_;
+  std::unique_ptr<uint32_t[]> next_;
+};
+
+// Length of the common prefix of `a` and `b`, at most `limit`, compared a
+// word at a time.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  while (len + sizeof(uint64_t) <= limit) {
+    uint64_t x;
+    uint64_t y;
+    std::memcpy(&x, a + len, sizeof(x));
+    std::memcpy(&y, b + len, sizeof(y));
+    if (x != y) {
+      const uint64_t diff = x ^ y;
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return len + static_cast<size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+    len += sizeof(uint64_t);
+  }
+  while (len < limit && a[len] == b[len]) {
+    ++len;
+  }
+  return len;
 }
 
 void EmitLiteral(WireWriter& w, const Bytes& target, size_t start, size_t end) {
@@ -41,36 +117,26 @@ Bytes DeltaEncode(const Bytes& base, const Bytes& target) {
   w.WriteFixed32(Crc32(target.data(), target.size()));
   w.WriteVarint(target.size());
 
-  // Index every position of `base` by its 8-byte prefix, newest first.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-  if (base.size() >= kMinMatch) {
-    index.reserve(base.size());
-    for (size_t i = 0; i + kMinMatch <= base.size(); ++i) {
-      std::vector<uint32_t>& chain = index[HashAt(base.data() + i)];
-      if (chain.size() < kMaxChainDepth) {
-        chain.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-
+  // Each lookup probes the first kMaxChainDepth positions of the base with
+  // the same 8-byte hash, in base order, and keeps the first longest match.
+  const BaseIndex index(base);
   size_t literal_start = 0;
   size_t pos = 0;
   while (pos + kMinMatch <= target.size()) {
     size_t best_len = 0;
     size_t best_off = 0;
-    auto it = index.find(HashAt(target.data() + pos));
-    if (it != index.end()) {
-      for (uint32_t cand : it->second) {
-        const size_t limit = std::min(base.size() - cand, target.size() - pos);
-        size_t len = 0;
-        while (len < limit && base[cand + len] == target[pos + len]) {
-          ++len;
-        }
-        if (len > best_len) {
-          best_len = len;
-          best_off = cand;
-        }
+    uint32_t cand = index.First(HashAt(target.data() + pos));
+    for (size_t depth = 0; depth < kMaxChainDepth && cand != kNoPos; ++depth) {
+      const size_t limit = std::min(base.size() - cand, target.size() - pos);
+      const size_t len = MatchLength(base.data() + cand, target.data() + pos, limit);
+      if (len > best_len) {
+        best_len = len;
+        best_off = cand;
       }
+      if (len == limit) {
+        break;  // later candidates have less base left: none can match longer
+      }
+      cand = index.Next(cand);
     }
     if (best_len >= kMinMatch) {
       EmitLiteral(w, target, literal_start, pos);

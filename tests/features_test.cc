@@ -83,6 +83,64 @@ TEST(MultiServerTest, ObjectsLiveOnTheirHomeServers) {
   EXPECT_EQ(bed.server()->store()->Get("counter")->data, "1");
 }
 
+TEST(MultiServerTest, InvalidationsReachOnlyTheKeyNamingTheirServer) {
+  // Both servers hold `counter`; one client caches both, under the bare
+  // name and under the archive's URN. An invalidation names its object by
+  // path, so the sending server decides which key goes stale.
+  Testbed bed;  // default server: "server"
+  RoverServerNode* archive = bed.AddServer("archive");
+  ASSERT_TRUE(bed.server()->rover()->CreateObject(
+      MakeRdo("counter", "lww", kCounterCode, "1")).ok());
+  ASSERT_TRUE(archive->rover()->CreateObject(
+      MakeRdo("counter", "lww", kCounterCode, "100")).ok());
+  ClientNodeOptions sub_opts;
+  sub_opts.access.subscribe_on_import = true;
+  RoverClientNode* reader =
+      bed.AddClient("reader", LinkProfile::WaveLan2(), nullptr, sub_opts);
+  RoverClientNode* writer = bed.AddClient("writer", LinkProfile::WaveLan2());
+  bed.AddLink("reader", "archive", LinkProfile::WaveLan2());
+  bed.AddLink("writer", "archive", LinkProfile::WaveLan2());
+  const std::string bare = "counter";
+  const std::string urn = MakeRoverUrn("archive", "counter");
+
+  reader->access()->Import(bare).Wait(bed.loop());
+  reader->access()->Import(urn).Wait(bed.loop());
+  bed.Run();  // let both subscriptions land
+  ASSERT_EQ(bed.server()->rover()->SubscriberCount("counter"), 1u);
+  ASSERT_EQ(archive->rover()->SubscriberCount("counter"), 1u);
+
+  auto commit = [&](const std::string& name) {
+    writer->access()->Import(name).Wait(bed.loop());
+    writer->access()->Invoke(name, "add", {"5"}).Wait(bed.loop());
+    auto exported = writer->access()->Export(name);
+    ASSERT_TRUE(exported.Wait(bed.loop()));
+    ASSERT_TRUE(exported.value().status.ok()) << exported.value().status;
+    bed.Run();  // deliver the invalidation
+  };
+  auto cache_hit = [&](const std::string& name) {
+    auto imported = reader->access()->Import(name);
+    EXPECT_TRUE(imported.Wait(bed.loop()));
+    EXPECT_TRUE(imported.value().status.ok()) << imported.value().status;
+    return imported.value().from_cache;
+  };
+
+  // A commit on the archive stales only the URN entry.
+  commit(urn);
+  EXPECT_EQ(Count(reader->metrics(), "access_manager.invalidations_received"), 1u);
+  EXPECT_FALSE(cache_hit(urn));
+  EXPECT_TRUE(cache_hit(bare));
+  EXPECT_EQ(*reader->access()->ReadData(urn), "105");
+  EXPECT_EQ(*reader->access()->ReadData(bare), "1");
+
+  // A commit on the default server stales only the bare entry.
+  commit(bare);
+  EXPECT_EQ(Count(reader->metrics(), "access_manager.invalidations_received"), 2u);
+  EXPECT_FALSE(cache_hit(bare));
+  EXPECT_TRUE(cache_hit(urn));
+  EXPECT_EQ(*reader->access()->ReadData(bare), "6");
+  EXPECT_EQ(*reader->access()->ReadData(urn), "105");
+}
+
 TEST(MultiServerTest, MigrationPolicyUsesPerServerLink) {
   Testbed bed;  // default server on Ethernet (fast)
   RoverServerNode* far = bed.AddServer("far");

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/toolkit.h"
@@ -459,10 +461,10 @@ namespace {
 // --- accept damaged input.
 
 // Random byte string with enough repetition that matches exist.
-Bytes RandomBase(Rng* rng, size_t size) {
+Bytes RandomBase(Rng* rng, size_t size, size_t letters = 16) {
   Bytes base(size);
   for (uint8_t& b : base) {
-    b = static_cast<uint8_t>(rng->NextBelow(16) + 'a');
+    b = static_cast<uint8_t>(rng->NextBelow(letters) + 'a');
   }
   return base;
 }
@@ -581,6 +583,138 @@ TEST_P(DeltaCodecTest, MismatchedBaseIsFailedPrecondition) {
   auto applied = DeltaApply(other, delta);
   ASSERT_FALSE(applied.ok());
   EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// The delta encoder in its original form: a hash map from each 8-byte
+// hash to the first 16 base positions with it, in base order, probed a
+// byte at a time. DeltaEncode must emit exactly its bytes, so the wire
+// format (and every simulated byte count) is pinned to it.
+Bytes ReferenceDeltaEncode(const Bytes& base, const Bytes& target) {
+  constexpr size_t kMinMatch = 8;
+  constexpr size_t kMaxChainDepth = 16;
+  auto hash_at = [](const uint8_t* p) {
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return (v * 0x9e3779b97f4a7c15ull) >> 32;
+  };
+  WireWriter w;
+  w.WriteFixed32(0x314c4452u);  // "RDL1"
+  w.WriteFixed32(Crc32(base.data(), base.size()));
+  w.WriteFixed32(Crc32(target.data(), target.size()));
+  w.WriteVarint(target.size());
+  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
+  for (size_t i = 0; i + kMinMatch <= base.size(); ++i) {
+    std::vector<uint32_t>& chain = index[hash_at(base.data() + i)];
+    if (chain.size() < kMaxChainDepth) {
+      chain.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  auto emit_literal = [&](size_t start, size_t end) {
+    if (end > start) {
+      w.WriteVarint(static_cast<uint64_t>(end - start) << 1);
+      w.WriteRaw(target.data() + start, end - start);
+    }
+  };
+  size_t literal_start = 0;
+  size_t pos = 0;
+  while (pos + kMinMatch <= target.size()) {
+    size_t best_len = 0;
+    size_t best_off = 0;
+    auto it = index.find(hash_at(target.data() + pos));
+    if (it != index.end()) {
+      for (uint32_t cand : it->second) {
+        const size_t limit = std::min(base.size() - cand, target.size() - pos);
+        size_t len = 0;
+        while (len < limit && base[cand + len] == target[pos + len]) {
+          ++len;
+        }
+        if (len > best_len) {
+          best_len = len;
+          best_off = cand;
+        }
+      }
+    }
+    if (best_len >= kMinMatch) {
+      emit_literal(literal_start, pos);
+      w.WriteVarint((static_cast<uint64_t>(best_len) << 1) | 1);
+      w.WriteVarint(best_off);
+      pos += best_len;
+      literal_start = pos;
+    } else {
+      ++pos;
+    }
+  }
+  emit_literal(literal_start, target.size());
+  return w.TakeData();
+}
+
+// DeltaEncode's bytes equal the reference encoder's and apply back to
+// `target`.
+void ExpectReferenceDelta(const Bytes& base, const Bytes& target) {
+  const Bytes delta = DeltaEncode(base, target);
+  EXPECT_EQ(delta, ReferenceDeltaEncode(base, target))
+      << "base " << base.size() << " B, target " << target.size() << " B";
+  auto applied = DeltaApply(base, delta);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(*applied, target);
+}
+
+TEST_P(DeltaCodecTest, MatchesReferenceEncoderOnRandomInputs) {
+  Rng rng(GetParam() + 4000);
+  for (size_t letters = 1; letters <= 26; ++letters) {
+    const Bytes base = RandomBase(&rng, rng.NextBelow(3001), letters);
+    ExpectReferenceDelta(base, RandomBase(&rng, rng.NextBelow(3001), letters));
+    ExpectReferenceDelta(base, RandomEdit(&rng, base));
+    ExpectReferenceDelta(base, base);
+  }
+}
+
+TEST(DeltaWireFormatTest, MatchesReferenceOnRotatedMailFolders) {
+  // A folder of 32 messages of 255 bytes, each its id padded with 'x';
+  // a newer version drops the oldest messages and appends as many new ones.
+  auto message = [](const std::string& id) {
+    std::string m = id;
+    m.resize(255, 'x');
+    return m;
+  };
+  std::vector<std::string> messages;
+  for (int k = 0; k < 32; ++k) {
+    messages.push_back(message("f7m" + std::to_string(k)));
+  }
+  const Bytes base = BytesFromString(TclListJoin(messages));
+  for (int rotate = 1; rotate <= 8; ++rotate) {
+    std::vector<std::string> newer(messages.begin() + rotate, messages.end());
+    for (int k = 0; k < rotate; ++k) {
+      newer.push_back(message("f7r" + std::to_string(k)));
+    }
+    ExpectReferenceDelta(base, BytesFromString(TclListJoin(newer)));
+  }
+}
+
+TEST(DeltaWireFormatTest, MatchesReferenceOnBasesAroundTheMinimumMatch) {
+  Rng rng(17);
+  for (size_t size : {size_t{0}, size_t{7}, size_t{8}, size_t{9}}) {
+    const Bytes base = RandomBase(&rng, size, 3);
+    Bytes target = base;
+    target.insert(target.end(), base.begin(), base.end());
+    ExpectReferenceDelta(base, target);
+    ExpectReferenceDelta(base, base);
+    ExpectReferenceDelta(base, Bytes{});
+    ExpectReferenceDelta(base, RandomBase(&rng, 40, 3));
+  }
+}
+
+TEST(DeltaWireFormatTest, MatchesReferenceWithOffsetsPast16Bits) {
+  Rng rng(23);
+  const Bytes base = RandomBase(&rng, 200 * 1024 + 13, 26);
+  // Copies from deep in the base, out of order, around fresh literals.
+  Bytes target(base.begin() + 150000, base.begin() + 190000);
+  const Bytes fresh = RandomBase(&rng, 300, 26);
+  target.insert(target.end(), fresh.begin(), fresh.end());
+  target.insert(target.end(), base.begin() + 70000, base.begin() + 80000);
+  target.insert(target.end(), base.end() - 100, base.end());
+  ExpectReferenceDelta(base, target);
+  ExpectReferenceDelta(base, RandomEdit(&rng, base));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaCodecTest, ::testing::Range(uint64_t{1}, uint64_t{9}));

@@ -115,7 +115,7 @@ TEST_P(FuzzTest, RandomScriptsNeverCrashParserOrInterp) {
 }
 
 TEST_P(FuzzTest, RandomListsEitherSplitOrErrorCleanly) {
-  const std::string alphabet = "ab {}\"\\ ";
+  const std::string alphabet = "ab {}\"\\ \t\n\r\v\f";
   for (int trial = 0; trial < 200; ++trial) {
     std::string list;
     const size_t len = rng_.NextBelow(40);

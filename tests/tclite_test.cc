@@ -67,6 +67,46 @@ TEST(TclValueTest, ListSplitUnbalancedFails) {
   EXPECT_FALSE(TclListSplit("a {b").ok());
 }
 
+TEST(TclValueTest, ListSplitExactElements) {
+  const struct {
+    std::string list;
+    std::vector<std::string> elems;
+  } cases[] = {
+      {"a\\ b", {"a b"}},
+      {"a\\ b c", {"a b", "c"}},
+      {"ab\\", {"ab\\"}},
+      {"\\", {"\\"}},
+      {"x\\{y\\}z", {"x{y}z"}},
+      {"a b", {"a", "b"}},
+      {"a\tb", {"a", "b"}},
+      {"a\nb", {"a", "b"}},
+      {"a\vb", {"a", "b"}},
+      {"a\fb", {"a", "b"}},
+      {"a\rb", {"a", "b"}},
+      {" \t\n\v\f\r", {}},
+      {"a\xe9z \xff", {"a\xe9z", "\xff"}},
+      {"\"q\\\"t\" {b r}", {"q\"t", "b r"}},
+  };
+  for (const auto& c : cases) {
+    auto split = TclListSplit(c.list);
+    ASSERT_TRUE(split.ok()) << c.list << ": " << split.status();
+    EXPECT_EQ(*split, c.elems) << c.list;
+  }
+}
+
+TEST(TclValueTest, ListSplitRejectsJunkAfterClosingDelimiter) {
+  auto quoted = TclListSplit("\"a\"b");
+  ASSERT_FALSE(quoted.ok());
+  EXPECT_EQ(quoted.status().message(), "junk after closing quote in list");
+  auto braced = TclListSplit("{a}b");
+  ASSERT_FALSE(braced.ok());
+  EXPECT_EQ(braced.status().message(), "junk after closing brace in list");
+  // Whitespace of any of the six kinds ends the element.
+  auto spaced = TclListSplit("\"a\"\tb");
+  ASSERT_TRUE(spaced.ok());
+  EXPECT_EQ(*spaced, (std::vector<std::string>{"a", "b"}));
+}
+
 // --- parser ---
 
 TEST(TclParserTest, SplitsCommandsAndWords) {
